@@ -53,9 +53,11 @@ test:
 # lock-free span ring written by every component at once), the seeded
 # fault-schedule determinism regression (internal/faults), and the
 # scenario harness's smoke storms (internal/scenario, race-scaled via
-# its Tuning). Runs as part of `make check`.
+# its Tuning), and the edwards25519 comb behind signature verification
+# (its shared basepoint table is built once, on first use, by whichever
+# goroutine verifies first). Runs as part of `make check`.
 test-race:
-	$(GO) test -race ./internal/transport/ ./internal/client/ ./internal/replica/ ./internal/store/ ./internal/wal/ ./internal/metrics/ ./internal/quorum/ ./internal/benchharness/ ./internal/types/ ./internal/cryptoutil/ ./internal/trace/ ./internal/faults/ ./internal/scenario/
+	$(GO) test -race ./internal/transport/ ./internal/client/ ./internal/replica/ ./internal/store/ ./internal/wal/ ./internal/metrics/ ./internal/quorum/ ./internal/benchharness/ ./internal/types/ ./internal/cryptoutil/ ./internal/trace/ ./internal/faults/ ./internal/scenario/ ./internal/edwards25519/...
 	$(GO) test -race ./basil/ -run 'TestCrashRestart|TestRestartReplica|TestOverloadSheds'
 
 # The transport and codec tests are required to pass under the race

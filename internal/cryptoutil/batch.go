@@ -159,6 +159,8 @@ type SigVerifier struct {
 	max         int
 
 	directHits atomic.Uint64
+	// checks, if set, counts the signature checks actually run.
+	checks *atomic.Uint64
 }
 
 // NewSigVerifier creates a verifier with a bounded root cache.
@@ -178,6 +180,18 @@ func NewSigVerifier(reg *Registry, cacheSize int) *SigVerifier {
 // answered from the verified-digest cache (observability for tests and the
 // parallel experiment).
 func (v *SigVerifier) DirectCacheHits() uint64 { return v.directHits.Load() }
+
+// CountChecks makes v add one to c for every signature check it actually
+// runs; answers from either cache are not checks. Call it before sharing v.
+func (v *SigVerifier) CountChecks(c *atomic.Uint64) { v.checks = c }
+
+// verifyDigest runs one registry signature check, counting it.
+func (v *SigVerifier) verifyDigest(signer int32, d [32]byte, sig []byte) bool {
+	if v.checks != nil {
+		v.checks.Add(1)
+	}
+	return v.reg.VerifyDigest(signer, d, sig)
+}
 
 // directKey folds the payload digest, signer id and signature bytes into
 // one cache key, so a Byzantine sender cannot poison the cache by pairing
@@ -211,7 +225,7 @@ func (v *SigVerifier) Verify(payload []byte, sig *types.Signature) bool {
 			v.directHits.Add(1)
 			return true
 		}
-		if !v.reg.VerifyDigest(sig.SignerID, d, sig.Direct) {
+		if !v.verifyDigest(sig.SignerID, d, sig.Direct) {
 			return false
 		}
 		v.mu.Lock()
@@ -236,7 +250,7 @@ func (v *SigVerifier) Verify(payload []byte, sig *types.Signature) bool {
 	if hit && cachedSigner == sig.SignerID {
 		return true
 	}
-	if !v.reg.VerifyDigest(sig.SignerID, sig.Root, sig.RootSig) {
+	if !v.verifyDigest(sig.SignerID, sig.Root, sig.RootSig) {
 		return false
 	}
 	v.mu.Lock()

@@ -25,7 +25,7 @@ type Scheme uint8
 
 // Available signature schemes.
 const (
-	// SchemeEd25519 uses stdlib ed25519 over SHA-256 payload digests.
+	// SchemeEd25519 signs SHA-256 payload digests with ed25519.
 	SchemeEd25519 Scheme = iota
 	// SchemeNone disables signatures entirely (Basil-NoProofs, Fig. 5a).
 	// Sign returns a fixed one-byte tag and Verify accepts it.
@@ -53,9 +53,11 @@ func digest(payload []byte) [32]byte { return sha256.Sum256(payload) }
 
 // Registry holds every node's verification key. Index i belongs to the
 // node with global key id i (replicas and clients share one id space).
+// Signing uses crypto/ed25519; verification uses each key's expanded
+// form (edverify.go), built lazily on the key's first verification.
 type Registry struct {
 	scheme Scheme
-	pubs   []ed25519.PublicKey
+	keys   []expandedKey
 	privs  []ed25519.PrivateKey
 }
 
@@ -67,14 +69,14 @@ func NewRegistry(scheme Scheme, n int, seed int64) *Registry {
 		return r
 	}
 	rng := rand.New(rand.NewSource(seed))
-	r.pubs = make([]ed25519.PublicKey, n)
+	r.keys = make([]expandedKey, n)
 	r.privs = make([]ed25519.PrivateKey, n)
 	for i := 0; i < n; i++ {
 		seedBytes := make([]byte, ed25519.SeedSize)
 		rng.Read(seedBytes)
 		priv := ed25519.NewKeyFromSeed(seedBytes)
 		r.privs[i] = priv
-		r.pubs[i] = priv.Public().(ed25519.PublicKey)
+		r.keys[i].pub = priv.Public().(ed25519.PublicKey)
 	}
 	return r
 }
@@ -98,11 +100,8 @@ func (r *Registry) Verify(signer int32, payload, sig []byte) bool {
 	if r.scheme == SchemeNone {
 		return len(sig) == 1 && sig[0] == noSigTag
 	}
-	if signer < 0 || int(signer) >= len(r.pubs) {
-		return false
-	}
 	d := digest(payload)
-	return ed25519.Verify(r.pubs[signer], d[:], sig)
+	return r.VerifyDigest(signer, d, sig)
 }
 
 // VerifyDigest verifies a signature over an already-hashed digest (used for
@@ -111,10 +110,10 @@ func (r *Registry) VerifyDigest(signer int32, d [32]byte, sig []byte) bool {
 	if r.scheme == SchemeNone {
 		return len(sig) == 1 && sig[0] == noSigTag
 	}
-	if signer < 0 || int(signer) >= len(r.pubs) {
+	if signer < 0 || int(signer) >= len(r.keys) {
 		return false
 	}
-	return ed25519.Verify(r.pubs[signer], d[:], sig)
+	return r.keys[signer].verify(&d, sig)
 }
 
 type edSigner struct {

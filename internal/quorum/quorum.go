@@ -178,6 +178,12 @@ func (v *Verifier) allSigs(n int, check func(i int) bool) bool {
 	return v.Pool.All(n, check)
 }
 
+// certCacheCap bounds the verified-certificate cache, matching the
+// SigVerifier caches. A replica meets each writeback's certificate about
+// once: duplicate writebacks are answered from the store before
+// verification, so a larger cache only holds dead entries.
+const certCacheCap = 4096
+
 type certKey struct {
 	id  types.TxID
 	dec types.Decision
@@ -195,7 +201,7 @@ func (v *Verifier) cacheCert(id types.TxID, dec types.Decision) {
 	if v.certCache == nil {
 		v.certCache = make(map[certKey]bool)
 	}
-	if len(v.certCache) > 65536 {
+	if len(v.certCache) > certCacheCap {
 		v.certCache = make(map[certKey]bool)
 	}
 	v.certCache[certKey{id, dec}] = true

@@ -233,10 +233,9 @@ func (a *admission) admit(from transport.Addr, msg any) bool {
 		sc = a.score(cid)
 		sc.requests.Add(1)
 	}
-	depth := a.inflight.Add(1)
+	depth, ok := a.reserve()
 	switch {
-	case depth > a.cap:
-		a.inflight.Add(-1)
+	case !ok:
 		a.r.Stats.Shed.Add(1)
 		a.r.frec.Note("shed", "dispatch queue full")
 		a.shedReply(from, msg, sc)
@@ -252,6 +251,22 @@ func (a *admission) admit(from transport.Addr, msg any) bool {
 		return false
 	}
 	return true
+}
+
+// reserve takes one dispatch slot unless the queue is full and returns
+// the occupancy including that slot. It compares and swaps instead of
+// adding and then undoing an over-cap add, so inflight (and the
+// dispatch-depth gauge read from it) never exceeds the cap, even briefly.
+func (a *admission) reserve() (depth int64, ok bool) {
+	for {
+		d := a.inflight.Load()
+		if d >= a.cap {
+			return d, false
+		}
+		if a.inflight.CompareAndSwap(d, d+1) {
+			return d + 1, true
+		}
+	}
 }
 
 // release returns an admitted message's slot once its handler finished.

@@ -108,6 +108,9 @@ func (r *Replica) onST1(from transport.Addr, m *types.ST1Request) {
 		if depAborted {
 			t.depAborted = true
 		}
+		if t.waitingOn == nil {
+			t.waitingOn = make(map[types.TxID]bool, len(pendingDeps))
+		}
 		for _, dep := range pendingDeps {
 			t.waitingOn[dep] = true
 		}

@@ -188,7 +188,8 @@ type txState struct {
 	conflictMeta *types.TxMeta
 	blockedBy    *types.TxMeta
 
-	// Dependency waiting (Algorithm 1 line 15).
+	// Dependency waiting (Algorithm 1 line 15); allocated on the first
+	// dependency, nil for the transactions that never wait.
 	waitingOn  map[types.TxID]bool
 	depAborted bool
 	// Clients owed an ST1R once the vote resolves (bounded, evict-oldest;
@@ -230,7 +231,9 @@ type Stats struct {
 	Elections      atomic.Uint64
 	DecFBs         atomic.Uint64
 	SigsSigned     atomic.Uint64
-	SigsVerified   atomic.Uint64
+	// SigsVerified counts ed25519 checks the replica's verifier ran;
+	// answers from its caches are not counted.
+	SigsVerified atomic.Uint64
 	// TxCollected counts txStates reclaimed below the checkpoint
 	// watermark; WaiterEvictions counts per-transaction waiter entries
 	// displaced by the evict-oldest cap; StaleDrops counts below-watermark
@@ -363,6 +366,7 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 		depWaiters: make(map[types.TxID][]types.TxID),
 		ckptStop:   make(chan struct{}),
 	}
+	r.sv.CountChecks(&r.Stats.SigsVerified)
 	r.shardAddrs = transport.ShardAddrs(cfg.Shard, r.qc.N())
 	r.tracer = cfg.Tracer
 	r.traceNode = fmt.Sprintf("r%d.%d", cfg.Shard, cfg.Index)
@@ -522,10 +526,7 @@ func (r *Replica) tx(id types.TxID) *txState {
 	defer r.mu.Unlock()
 	t := r.txs[id]
 	if t == nil {
-		t = &txState{
-			id:        id,
-			waitingOn: make(map[types.TxID]bool),
-		}
+		t = &txState{id: id}
 		r.txs[id] = t
 	}
 	return t

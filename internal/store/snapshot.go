@@ -53,7 +53,8 @@ func (s *Store) Snapshot(b []byte) []byte {
 			for i := range e.writes {
 				w := &e.writes[i]
 				b = w.ver.AppendCanonical(b)
-				b = append(b, w.writer[:]...)
+				id := recID(w.writer)
+				b = append(b, id[:]...)
 				if w.committed {
 					b = append(b, 1)
 				} else {
@@ -65,7 +66,8 @@ func (s *Store) Snapshot(b []byte) []byte {
 			for _, r := range e.readers {
 				b = r.readerTs.AppendCanonical(b)
 				b = r.readVer.AppendCanonical(b)
-				b = append(b, r.reader[:]...)
+				id := recID(r.reader)
+				b = append(b, id[:]...)
 			}
 		}
 	}
@@ -96,7 +98,7 @@ func (s *Store) Restore(data []byte) (rest []byte, maxTs types.Timestamp, err er
 	nTx := int(d.u32())
 	for i := 0; i < nTx && d.err == nil; i++ {
 		id := d.txid()
-		rec := &TxRecord{Status: TxStatus(d.u8())}
+		rec := &TxRecord{Status: TxStatus(d.u8()), id: id}
 		rec.Meta = d.metaOpt()
 		rec.Cert = d.certOpt()
 		if d.err != nil {
@@ -116,7 +118,7 @@ func (s *Store) Restore(data []byte) (rest []byte, maxTs types.Timestamp, err er
 		for j := 0; j < nW && d.err == nil; j++ {
 			var w writeRec
 			w.ver = d.ts()
-			w.writer = d.txid()
+			w.writer = s.txns[d.txid()]
 			w.committed = d.u8() == 1
 			w.value = d.bytes()
 			e.writes = append(e.writes, w)
@@ -127,7 +129,7 @@ func (s *Store) Restore(data []byte) (rest []byte, maxTs types.Timestamp, err er
 			var r readRec
 			r.readerTs = d.ts()
 			r.readVer = d.ts()
-			r.reader = d.txid()
+			r.reader = s.txns[d.txid()]
 			e.readers = append(e.readers, r)
 			bump(r.readerTs)
 		}
@@ -149,14 +151,15 @@ func (s *Store) RestorePrepared(meta *types.TxMeta, id types.TxID) bool {
 	if s.txns[id] != nil {
 		return false
 	}
-	s.txns[id] = &TxRecord{Meta: meta, Status: StatusPrepared}
+	rec := &TxRecord{Meta: meta, Status: StatusPrepared, id: id}
+	s.txns[id] = rec
 	ts := meta.Timestamp
 	for _, w := range meta.WriteSet {
-		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{ver: ts, value: w.Value, writer: id})
+		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{ver: ts, value: w.Value, writer: rec})
 	}
 	for _, r := range meta.ReadSet {
 		e := s.stripeOf(r.Key).entry(r.Key)
-		e.readers = append(e.readers, readRec{readerTs: ts, readVer: r.Version, reader: id})
+		e.readers = append(e.readers, readRec{readerTs: ts, readVer: r.Version, reader: rec})
 	}
 	return true
 }

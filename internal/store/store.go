@@ -56,13 +56,27 @@ type TxRecord struct {
 	Meta   *types.TxMeta
 	Status TxStatus
 	Cert   *types.DecisionCert // set once finalized with a certificate
+
+	// id is the transaction's key in the table; version chains and
+	// reader lists point at the record instead of repeating it.
+	id types.TxID
 }
 
-// writeRec is one (possibly uncommitted) version of a key.
+// recID returns rec's transaction id, or the zero id for nil (the
+// writer of a genesis version).
+func recID(rec *TxRecord) types.TxID {
+	if rec == nil {
+		return types.TxID{}
+	}
+	return rec.id
+}
+
+// writeRec is one (possibly uncommitted) version of a key. writer is the
+// writing transaction's record, nil for genesis versions.
 type writeRec struct {
 	ver       types.Timestamp
 	value     []byte
-	writer    types.TxID
+	writer    *TxRecord
 	committed bool
 }
 
@@ -72,7 +86,13 @@ type writeRec struct {
 type readRec struct {
 	readerTs types.Timestamp
 	readVer  types.Timestamp
-	reader   types.TxID
+	reader   *TxRecord
+}
+
+// rtsEntry is one outstanding read timestamp and its reference count.
+type rtsEntry struct {
+	ts   types.Timestamp
+	refs int
 }
 
 type keyEntry struct {
@@ -81,8 +101,10 @@ type keyEntry struct {
 	// readers of this key from prepared/committed transactions.
 	readers []readRec
 	// rts holds the read timestamps of ongoing (not yet prepared)
-	// transactions, reference-counted because retries may re-read.
-	rts    map[types.Timestamp]int
+	// transactions, reference-counted because retries may re-read. It is
+	// nil when no read is outstanding and rarely holds more than two
+	// entries, so adds and drops scan it.
+	rts    []rtsEntry
 	maxRTS types.Timestamp
 }
 
@@ -102,8 +124,10 @@ type Store struct {
 	seed    maphash.Seed
 
 	// txMu is an RWMutex because the table is read-mostly and shared by
-	// every stripe: version-chain scans look up writer records per entry,
-	// and a plain mutex here would re-serialize the striped read path.
+	// every stripe: duplicate checks and record queries look ids up here,
+	// and a plain mutex would re-serialize the striped paths. Version
+	// chains and reader lists hold record pointers, so scanning them
+	// needs no table lookup.
 	txMu sync.RWMutex
 	txns map[types.TxID]*TxRecord
 
@@ -189,7 +213,7 @@ func (s *Store) stripeOf(k string) *stripe { return &s.stripes[s.stripeIdx(k)] }
 func (st *stripe) entry(k string) *keyEntry {
 	e := st.keys[k]
 	if e == nil {
-		e = &keyEntry{rts: make(map[types.Timestamp]int)}
+		e = &keyEntry{}
 		st.keys[k] = e
 	}
 	return e
@@ -264,7 +288,7 @@ func (e *keyEntry) insertWrite(w writeRec) {
 }
 
 // removeWritesBy drops all writes by tx from e.
-func (e *keyEntry) removeWritesBy(tx types.TxID) {
+func (e *keyEntry) removeWritesBy(tx *TxRecord) {
 	out := e.writes[:0]
 	for _, w := range e.writes {
 		if w.writer != tx {
@@ -275,7 +299,7 @@ func (e *keyEntry) removeWritesBy(tx types.TxID) {
 }
 
 // removeReadersBy drops all reader records by tx from e.
-func (e *keyEntry) removeReadersBy(tx types.TxID) {
+func (e *keyEntry) removeReadersBy(tx *TxRecord) {
 	out := e.readers[:0]
 	for _, r := range e.readers {
 		if r.reader != tx {
@@ -300,11 +324,7 @@ func (s *Store) Read(k string, ts types.Timestamp) ReadResult {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.entry(k)
-	// Record the read timestamp.
-	e.rts[ts]++
-	if e.maxRTS.Less(ts) {
-		e.maxRTS = ts
-	}
+	e.addRTS(ts)
 	var res ReadResult
 	for i := len(e.writes) - 1; i >= 0; i-- {
 		w := e.writes[i]
@@ -313,7 +333,7 @@ func (s *Store) Read(k string, ts types.Timestamp) ReadResult {
 		}
 		if w.committed {
 			if res.Committed == nil {
-				rec := s.txLookup(w.writer)
+				rec := w.writer
 				cr := &types.CommittedRead{Value: w.value}
 				if rec != nil {
 					cr.WriterMeta = rec.Meta
@@ -326,8 +346,7 @@ func (s *Store) Read(k string, ts types.Timestamp) ReadResult {
 			break
 		}
 		if res.Prepared == nil {
-			rec := s.txLookup(w.writer)
-			if rec != nil && rec.Status == StatusPrepared {
+			if rec := w.writer; rec != nil && rec.Status == StatusPrepared {
 				res.Prepared = &types.PreparedRead{Value: w.value, WriterMeta: rec.Meta}
 			}
 		}
@@ -350,20 +369,51 @@ func (s *Store) DropRTS(keys []string, ts types.Timestamp) {
 	}
 }
 
+// addRTS takes one reference of ts in e's RTS set.
+func (e *keyEntry) addRTS(ts types.Timestamp) {
+	if e.maxRTS.Less(ts) {
+		e.maxRTS = ts
+	}
+	for i := range e.rts {
+		if e.rts[i].ts == ts {
+			e.rts[i].refs++
+			return
+		}
+	}
+	e.rts = append(e.rts, rtsEntry{ts: ts, refs: 1})
+}
+
 // dropRTS releases one reference of ts from e, recomputing maxRTS if the
 // released reference was the last of the maximum.
 func (e *keyEntry) dropRTS(ts types.Timestamp) {
-	if n := e.rts[ts]; n > 1 {
-		e.rts[ts] = n - 1
-	} else if n == 1 {
-		delete(e.rts, ts)
+	for i := range e.rts {
+		if e.rts[i].ts != ts {
+			continue
+		}
+		if e.rts[i].refs > 1 {
+			e.rts[i].refs--
+			return
+		}
+		last := len(e.rts) - 1
+		e.rts[i] = e.rts[last]
+		e.rts = e.rts[:last]
+		if last == 0 {
+			e.rts = nil
+		}
 		if ts == e.maxRTS {
-			e.maxRTS = types.Timestamp{}
-			for t := range e.rts {
-				if e.maxRTS.Less(t) {
-					e.maxRTS = t
-				}
-			}
+			e.recomputeMaxRTS()
+		}
+		return
+	}
+}
+
+// recomputeMaxRTS resets maxRTS to the largest outstanding read
+// timestamp, zero when none is outstanding.
+func (e *keyEntry) recomputeMaxRTS() {
+	e.maxRTS = types.Timestamp{}
+	for _, r := range e.rts {
+		if e.maxRTS.Less(r.ts) {
+			e.maxRTS = r.ts
 		}
 	}
 }
@@ -432,7 +482,7 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 		for _, w := range e.writes {
 			if r.Version.Less(w.ver) && w.ver.Less(ts) {
 				res := CheckResult{Outcome: CheckAbort}
-				if rec := s.txLookup(w.writer); rec != nil {
+				if rec := w.writer; rec != nil {
 					if w.committed && rec.Cert != nil {
 						res.Conflict = rec.Cert
 						res.ConflictMeta = rec.Meta
@@ -461,7 +511,7 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 		for _, rd := range e.readers {
 			if rd.readVer.Less(ts) && ts.Less(rd.readerTs) {
 				res := CheckResult{Outcome: CheckAbort}
-				if rec := s.txLookup(rd.reader); rec != nil {
+				if rec := rd.reader; rec != nil {
 					if rec.Status == StatusCommitted && rec.Cert != nil {
 						res.Conflict = rec.Cert
 						res.ConflictMeta = rec.Meta
@@ -482,7 +532,7 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 	// before publication; the publish re-checks for a duplicate so two
 	// concurrent deliveries of a keyless transaction (no stripe to
 	// serialize on) cannot both install.
-	rec := &TxRecord{Meta: meta, Status: StatusPrepared}
+	rec := &TxRecord{Meta: meta, Status: StatusPrepared, id: id}
 	s.txMu.Lock()
 	if s.txns[id] != nil {
 		s.txMu.Unlock()
@@ -491,11 +541,11 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 	s.txns[id] = rec
 	s.txMu.Unlock()
 	for _, w := range meta.WriteSet {
-		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{ver: ts, value: w.Value, writer: id})
+		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{ver: ts, value: w.Value, writer: rec})
 	}
 	for _, r := range meta.ReadSet {
 		e := s.stripeOf(r.Key).entry(r.Key)
-		e.readers = append(e.readers, readRec{readerTs: ts, readVer: r.Version, reader: id})
+		e.readers = append(e.readers, readRec{readerTs: ts, readVer: r.Version, reader: rec})
 		// The transaction has been validated; its execution-time RTS
 		// reservation is superseded by the reader record. dropRTS also
 		// recomputes maxRTS when the last reference at ts is released, so
@@ -521,7 +571,7 @@ func (s *Store) Finalize(id types.TxID, meta *types.TxMeta, dec types.Decision, 
 	defer s.global.Unlock()
 	rec := s.txns[id]
 	if rec == nil {
-		rec = &TxRecord{Meta: meta}
+		rec = &TxRecord{Meta: meta, id: id}
 		s.txns[id] = rec
 	}
 	if rec.Meta == nil {
@@ -545,13 +595,13 @@ func (s *Store) Finalize(id types.TxID, meta *types.TxMeta, dec types.Decision, 
 				e := s.stripeOf(w.Key).entry(w.Key)
 				found := false
 				for i := range e.writes {
-					if e.writes[i].writer == id {
+					if e.writes[i].writer == rec {
 						e.writes[i].committed = true
 						found = true
 					}
 				}
 				if !found {
-					e.insertWrite(writeRec{ver: rec.Meta.Timestamp, value: w.Value, writer: id, committed: true})
+					e.insertWrite(writeRec{ver: rec.Meta.Timestamp, value: w.Value, writer: rec, committed: true})
 				} else {
 					wasPrepared = true
 				}
@@ -561,7 +611,7 @@ func (s *Store) Finalize(id types.TxID, meta *types.TxMeta, dec types.Decision, 
 				// are caught (line 10) even on replicas that skipped ST1.
 				for _, r := range rec.Meta.ReadSet {
 					e := s.stripeOf(r.Key).entry(r.Key)
-					e.readers = append(e.readers, readRec{readerTs: rec.Meta.Timestamp, readVer: r.Version, reader: id})
+					e.readers = append(e.readers, readRec{readerTs: rec.Meta.Timestamp, readVer: r.Version, reader: rec})
 				}
 			}
 		}
@@ -570,12 +620,12 @@ func (s *Store) Finalize(id types.TxID, meta *types.TxMeta, dec types.Decision, 
 		if rec.Meta != nil {
 			for _, w := range rec.Meta.WriteSet {
 				if e := s.stripeOf(w.Key).keys[w.Key]; e != nil {
-					e.removeWritesBy(id)
+					e.removeWritesBy(rec)
 				}
 			}
 			for _, r := range rec.Meta.ReadSet {
 				if e := s.stripeOf(r.Key).keys[r.Key]; e != nil {
-					e.removeReadersBy(id)
+					e.removeReadersBy(rec)
 				}
 			}
 		}
@@ -596,12 +646,12 @@ func (s *Store) RemovePrepared(id types.TxID) {
 	if rec.Meta != nil {
 		for _, w := range rec.Meta.WriteSet {
 			if e := s.stripeOf(w.Key).keys[w.Key]; e != nil {
-				e.removeWritesBy(id)
+				e.removeWritesBy(rec)
 			}
 		}
 		for _, r := range rec.Meta.ReadSet {
 			if e := s.stripeOf(r.Key).keys[r.Key]; e != nil {
-				e.removeReadersBy(id)
+				e.removeReadersBy(rec)
 			}
 		}
 	}
@@ -720,7 +770,7 @@ func (s *Store) GC(watermark types.Timestamp) int {
 	// serves their metadata and certificate alongside the value, and a
 	// missing record would make a real committed version indistinguishable
 	// from an unprovable one.
-	liveWriters := make(map[types.TxID]struct{})
+	liveWriters := make(map[*TxRecord]struct{})
 	for si := range s.stripes {
 		for _, e := range s.stripes[si].keys {
 			// Find the newest committed version ≤ watermark; keep it.
@@ -743,7 +793,9 @@ func (s *Store) GC(watermark types.Timestamp) int {
 				e.writes = out
 			}
 			for i := range e.writes {
-				liveWriters[e.writes[i].writer] = struct{}{}
+				if w := e.writes[i].writer; w != nil {
+					liveWriters[w] = struct{}{}
+				}
 			}
 			rd := e.readers[:0]
 			for _, r := range e.readers {
@@ -754,25 +806,24 @@ func (s *Store) GC(watermark types.Timestamp) int {
 				rd = append(rd, r)
 			}
 			e.readers = rd
-			rtsChanged := false
-			for ts := range e.rts {
-				if ts.Less(watermark) {
-					delete(e.rts, ts)
+			live := e.rts[:0]
+			for _, r := range e.rts {
+				if r.ts.Less(watermark) {
 					dropped++
-					rtsChanged = true
+					continue
 				}
+				live = append(live, r)
 			}
-			if rtsChanged {
+			if len(live) != len(e.rts) {
+				if len(live) == 0 {
+					live = nil
+				}
+				e.rts = live
 				// Recompute the coarse line-12 bound from the surviving
 				// entries; leaving the old maximum in place would keep
 				// aborting every writer below a read timestamp that no
 				// longer exists (same stale-maxRTS class dropRTS fixes).
-				e.maxRTS = types.Timestamp{}
-				for ts := range e.rts {
-					if e.maxRTS.Less(ts) {
-						e.maxRTS = ts
-					}
-				}
+				e.recomputeMaxRTS()
 			}
 		}
 	}
@@ -788,7 +839,7 @@ func (s *Store) GC(watermark types.Timestamp) int {
 		if rec.Meta == nil || !rec.Meta.Timestamp.Less(watermark) {
 			continue
 		}
-		if _, live := liveWriters[id]; live {
+		if _, live := liveWriters[rec]; live {
 			continue
 		}
 		delete(s.txns, id)

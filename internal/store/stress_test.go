@@ -39,12 +39,21 @@ func (s *Store) checkInvariants() error {
 	// outstanding entry AND is attained by one (or zero when none
 	// remain). A stale upper bound is the bug class GC and dropRTS both
 	// had — it silently aborts every writer below a dead read forever.
+	// Each entry holds a distinct timestamp and at least one reference.
 	for si := range s.stripes {
 		for k, e := range s.stripes[si].keys {
 			var want types.Timestamp
-			for ts := range e.rts {
-				if want.Less(ts) {
-					want = ts
+			for i, r := range e.rts {
+				if r.refs < 1 {
+					return fmt.Errorf("key %q: RTS %v kept with %d references", k, r.ts, r.refs)
+				}
+				for _, other := range e.rts[:i] {
+					if other.ts == r.ts {
+						return fmt.Errorf("key %q: RTS %v listed twice", k, r.ts)
+					}
+				}
+				if want.Less(r.ts) {
+					want = r.ts
 				}
 			}
 			if e.maxRTS != want {
@@ -72,7 +81,7 @@ func (s *Store) checkInvariants() error {
 			var found *writeRec
 			if e != nil {
 				for i := range e.writes {
-					if e.writes[i].writer == id {
+					if e.writes[i].writer == rec {
 						found = &e.writes[i]
 						break
 					}
