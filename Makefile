@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test test-race race bench scenarios doc-check linkcheck invariant-check
+.PHONY: check lint fmt vet build test test-race test-purego race bench scenarios doc-check linkcheck invariant-check
 
-check: fmt vet build doc-check linkcheck invariant-check test test-race
+check: fmt vet build doc-check linkcheck invariant-check test test-race test-purego
 
 # All static gates without the test suites — the fast pre-commit loop.
 lint: vet doc-check linkcheck invariant-check
@@ -54,11 +54,19 @@ test:
 # fault-schedule determinism regression (internal/faults), and the
 # scenario harness's smoke storms (internal/scenario, race-scaled via
 # its Tuning), and the edwards25519 comb behind signature verification
-# (its shared basepoint table is built once, on first use, by whichever
-# goroutine verifies first). Runs as part of `make check`.
+# (its shared basepoint comb is built once, on first use, by whichever
+# goroutine verifies first). A replica collects a transaction's state the
+# moment a writeback finalizes it, so the duplicate-ST1-versus-writeback
+# race runs ten times. Runs as part of `make check`.
 test-race:
 	$(GO) test -race ./internal/transport/ ./internal/client/ ./internal/replica/ ./internal/store/ ./internal/wal/ ./internal/metrics/ ./internal/quorum/ ./internal/benchharness/ ./internal/types/ ./internal/cryptoutil/ ./internal/trace/ ./internal/faults/ ./internal/scenario/ ./internal/edwards25519/...
+	$(GO) test -race -count=10 ./internal/replica/ -run TestDuplicateST1RacingWritebackCollected
 	$(GO) test -race ./basil/ -run 'TestCrashRestart|TestRestartReplica|TestOverloadSheds'
+
+# On amd64 the field multiply is assembly; the generic Go field code that
+# other architectures run is tested here, along with the verifier on it.
+test-purego:
+	$(GO) test -tags purego ./internal/edwards25519/... ./internal/cryptoutil/
 
 # The transport and codec tests are required to pass under the race
 # detector (per-connection writer goroutines, reverse-route eviction).

@@ -89,9 +89,10 @@ type Options struct {
 	// wal.Options.SyncDelay). Must be safe for concurrent use; it is
 	// consulted from every replica's WAL flusher. Requires DataDir.
 	WALSyncDelay func(shard, index int32) time.Duration
-	// CheckpointEvery, if positive (with DataDir), periodically
-	// checkpoints each replica at a clock-derived GC watermark, bounding
-	// log and memory growth.
+	// CheckpointEvery, if positive, periodically checkpoints each
+	// replica at a clock-derived GC watermark, bounding memory growth
+	// (store GC and collection of protocol state below the watermark).
+	// With DataDir it also snapshots the replica and prunes its log.
 	CheckpointEvery time.Duration
 	// ReadWait is how many read replies a client needs: 1, F+1 (default)
 	// or 2F+1 (Fig. 5b).

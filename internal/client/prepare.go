@@ -120,6 +120,21 @@ type prepareResult struct {
 	decision types.Decision
 	fast     bool // decision durable without ST2
 	tallies  map[int32]*shardTally
+	// cert, when set, is a verified decision certificate a replica sent
+	// instead of a vote: the transaction is already decided.
+	cert *types.DecisionCert
+}
+
+// servedCert returns r's decision certificate for transaction id when r
+// is a valid RPCert reply, or nil. Replicas answer with the certificate
+// once they have finalized (and collected) a transaction, for example
+// after another client finished it as a dependency of its own.
+func (c *Client) servedCert(id types.TxID, r *types.ST1Reply) *types.DecisionCert {
+	if r.RPKind != types.RPCert || r.Cert == nil || r.CertMeta == nil || r.CertMeta.ID() != id ||
+		c.qv.VerifyDecisionCert(r.Cert, r.CertMeta) != nil {
+		return nil
+	}
+	return r.Cert
 }
 
 // decide computes the global 2PC outcome from settled tallies: commit iff
@@ -181,6 +196,10 @@ func (c *Client) runPrepare(meta *types.TxMeta, depMetas map[types.TxID]*types.T
 	if err != nil {
 		return types.DecisionNone, err
 	}
+	if res.cert != nil {
+		c.writeback(meta, res.cert.Decision, res.cert)
+		return res.cert.Decision, nil
+	}
 
 	if res.fast {
 		c.Stats.FastPathTaken.Add(1)
@@ -202,11 +221,11 @@ func (c *Client) runPrepare(meta *types.TxMeta, depMetas map[types.TxID]*types.T
 		}
 		return dec, nil
 	}
-	c.writeback(meta, res.decision, cert)
-	if res.decision == types.DecisionAbort {
+	c.writeback(meta, cert.Decision, cert)
+	if cert.Decision == types.DecisionAbort {
 		c.recoverBlockers(tallies)
 	}
-	return res.decision, nil
+	return cert.Decision, nil
 }
 
 // recoverBlockers finishes the prepared-but-undecided transactions that
@@ -286,7 +305,12 @@ func (c *Client) collectVotes(id types.TxID, tallies map[int32]*shardTally, ch c
 		case m := <-ch:
 			switch r := m.(type) {
 			case *types.ST1Reply:
-				if r.RPKind != types.RPCert && r.ST2R == nil {
+				switch {
+				case r.RPKind == types.RPCert:
+					if cert := c.servedCert(id, r); cert != nil {
+						return prepareResult{decision: cert.Decision, tallies: tallies, cert: cert}, nil
+					}
+				case r.ST2R == nil:
 					c.acceptST1Reply(id, tallies, r)
 				}
 			case *types.Overloaded:
@@ -354,7 +378,9 @@ func (c *Client) buildFastCert(id types.TxID, meta *types.TxMeta, res prepareRes
 }
 
 // logDecision runs stage 2: store the decision on the logging shard and
-// assemble the V-CERT_Slog from n-f matching acknowledgements.
+// assemble the V-CERT_Slog from n-f matching acknowledgements. A replica
+// that already holds the transaction's certificate answers with it
+// instead, and that certificate is returned; callers use its decision.
 func (c *Client) logDecision(meta *types.TxMeta, id types.TxID, res prepareResult, view uint64) (*types.DecisionCert, error) {
 	tallies := make([]types.VoteTally, 0, len(res.tallies))
 	for _, t := range res.tallies {
@@ -368,11 +394,14 @@ func (c *Client) logDecision(meta *types.TxMeta, id types.TxID, res prepareResul
 		Decision: res.decision, Tallies: tallies, View: view, TC: c.curTC,
 	}
 	c.broadcastShard(meta.LogShard(), st2)
-	st2rs, err := c.collectST2(id, meta.LogShard(), res.decision, ch,
+	st2rs, served, err := c.collectST2(id, meta.LogShard(), res.decision, ch,
 		func() { c.broadcastShard(meta.LogShard(), st2) })
 	c.tracer.End(c.curTC, c.traceNode, "client.st2", c.curRoot, st2Start)
 	if err != nil {
 		return nil, err
+	}
+	if served != nil {
+		return served, nil
 	}
 	vote := types.VoteCommit
 	if res.decision == types.DecisionAbort {
@@ -392,9 +421,10 @@ func (c *Client) logDecision(meta *types.TxMeta, id types.TxID, res prepareResul
 // surface an error so the caller falls back to recovery. Replies from any
 // shard but logShard are rejected — signatures bind a reply to its own
 // shard's replica, not to the shard this request logged on (same
-// cross-shard confusion as the read path).
+// cross-shard confusion as the read path). A valid certificate served in
+// place of an ST2R ends the wait: it is returned as served.
 func (c *Client) collectST2(id types.TxID, logShard int32, want types.Decision, ch chan any,
-	resend func()) ([]types.ST2Reply, error) {
+	resend func()) (st2rs []types.ST2Reply, served *types.DecisionCert, err error) {
 	byKey := make(map[uint64][]types.ST2Reply) // viewDecision -> replies
 	seen := make(map[int32]bool)
 	mismatch := false
@@ -412,10 +442,14 @@ func (c *Client) collectST2(id types.TxID, logShard int32, want types.Decision, 
 				retry.note(ov)
 				continue
 			}
+			if r1, isST1 := m.(*types.ST1Reply); isST1 {
+				if cert := c.servedCert(id, r1); cert != nil {
+					return nil, cert, nil
+				}
+				continue // a stage-1 straggler
+			}
 			r, ok := m.(*types.ST2Reply)
 			if !ok {
-				// ST1Reply stragglers from stage 1 reuse the channel space;
-				// RPCert replies are handled by recovery paths.
 				continue
 			}
 			if r.TxID != id || r.ShardID != logShard || seen[r.ReplicaID] {
@@ -431,13 +465,13 @@ func (c *Client) collectST2(id types.TxID, logShard int32, want types.Decision, 
 			}
 			byKey[r.ViewDecision] = append(byKey[r.ViewDecision], *r)
 			if len(byKey[r.ViewDecision]) >= c.qc.LogQuorum() {
-				return byKey[r.ViewDecision], nil
+				return byKey[r.ViewDecision], nil, nil
 			}
 		case <-deadline.C:
 			if mismatch {
-				return nil, errPending
+				return nil, nil, errPending
 			}
-			return nil, ErrTimeout
+			return nil, nil, ErrTimeout
 		}
 	}
 }

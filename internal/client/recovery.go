@@ -64,8 +64,8 @@ func (c *Client) FinishTransaction(meta *types.TxMeta) (types.Decision, *types.D
 			}
 			cert, err := c.logDecision(meta, id, res, 0)
 			if err == nil {
-				c.writeback(meta, res.decision, cert)
-				return res.decision, cert, nil
+				c.writeback(meta, cert.Decision, cert)
+				return cert.Decision, cert, nil
 			}
 			divergent = true // logging shard disagreed: fall through
 		}
@@ -173,9 +173,8 @@ func (c *Client) collectRecovery(id types.TxID, meta *types.TxMeta, ch chan any,
 			case *types.ST1Reply:
 				switch r.RPKind {
 				case types.RPCert:
-					if r.Cert != nil && r.CertMeta != nil && r.CertMeta.ID() == id &&
-						c.qv.VerifyDecisionCert(r.Cert, r.CertMeta) == nil {
-						return r.Cert.Decision, r.Cert, true
+					if cert := c.servedCert(id, r); cert != nil {
+						return cert.Decision, cert, true
 					}
 				case types.RPDecision:
 					// Logged decisions are meaningful only from the logging

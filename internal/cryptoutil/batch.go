@@ -1,8 +1,6 @@
 package cryptoutil
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,10 +116,12 @@ func (b *BatchSigner) flush(batch []pendingSig) {
 	for i, p := range batch {
 		p.done(types.Signature{
 			SignerID: b.signer.ID(),
-			Root:     root,
-			RootSig:  rootSig,
-			Proof:    tree.Proof(i),
-			Index:    uint32(i),
+			Batch: &types.BatchProof{
+				Root:    root,
+				RootSig: rootSig,
+				Proof:   tree.Proof(i),
+				Index:   uint32(i),
+			},
 		})
 	}
 }
@@ -140,25 +140,19 @@ func (b *BatchSigner) Close() {
 // SigVerifier verifies types.Signature values (direct or batched) against a
 // registry, caching verified batch roots so the root signature is checked
 // once per batch rather than once per reply (paper §4.4 signature cache).
-// Direct signatures get the same treatment through a bounded
-// verified-digest cache: protocol messages routinely re-carry the same
-// signed replies (an ST2 tally embeds the ST1Rs the client collected,
-// recovery re-delivers them, certificates repeat them per shard), and a
-// (digest, signer, sig) triple that verified once always verifies.
+// Direct signatures are checked on every call: re-carried votes are
+// rare enough that a digest cache cost more heap and hashing than it
+// saved, and repeated certificates are cached whole by quorum.
 type SigVerifier struct {
 	reg *Registry
 
-	// mu guards the verification caches and their FIFO eviction order;
-	// ed25519 work runs outside it.
+	// mu guards the root cache and its FIFO eviction order; ed25519 work
+	// runs outside it.
 	mu    sync.Mutex
 	cache map[[32]byte]int32 // verified root -> signer
 	order [][32]byte         // FIFO eviction
-	// direct holds digests of already-verified direct signatures.
-	direct      map[[32]byte]bool
-	directOrder [][32]byte
-	max         int
+	max   int
 
-	directHits atomic.Uint64
 	// checks, if set, counts the signature checks actually run.
 	checks *atomic.Uint64
 }
@@ -169,20 +163,15 @@ func NewSigVerifier(reg *Registry, cacheSize int) *SigVerifier {
 		cacheSize = 1
 	}
 	return &SigVerifier{
-		reg:    reg,
-		cache:  make(map[[32]byte]int32),
-		direct: make(map[[32]byte]bool),
-		max:    cacheSize,
+		reg:   reg,
+		cache: make(map[[32]byte]int32),
+		max:   cacheSize,
 	}
 }
 
-// DirectCacheHits reports how many direct-signature verifications were
-// answered from the verified-digest cache (observability for tests and the
-// parallel experiment).
-func (v *SigVerifier) DirectCacheHits() uint64 { return v.directHits.Load() }
-
 // CountChecks makes v add one to c for every signature check it actually
-// runs; answers from either cache are not checks. Call it before sharing v.
+// runs; answers from the root cache are not checks. Call it before
+// sharing v.
 func (v *SigVerifier) CountChecks(c *atomic.Uint64) { v.checks = c }
 
 // verifyDigest runs one registry signature check, counting it.
@@ -193,75 +182,38 @@ func (v *SigVerifier) verifyDigest(signer int32, d [32]byte, sig []byte) bool {
 	return v.reg.VerifyDigest(signer, d, sig)
 }
 
-// directKey folds the payload digest, signer id and signature bytes into
-// one cache key, so a Byzantine sender cannot poison the cache by pairing
-// a cached payload with a garbage signature.
-func directKey(d [32]byte, signer int32, sig []byte) [32]byte {
-	h := sha256.New()
-	h.Write(d[:])
-	var idb [4]byte
-	binary.LittleEndian.PutUint32(idb[:], uint32(signer))
-	h.Write(idb[:])
-	h.Write(sig)
-	var k [32]byte
-	h.Sum(k[:0])
-	return k
-}
-
 // Verify checks sig over payload. For batched signatures it verifies the
-// Merkle inclusion proof and then the root signature (via the cache); for
-// direct signatures it consults the verified-digest cache first.
+// Merkle inclusion proof and then the root signature (via the cache);
+// direct signatures are checked against the registry.
 func (v *SigVerifier) Verify(payload []byte, sig *types.Signature) bool {
 	if v.reg.Scheme() == SchemeNone {
 		return true
 	}
 	if !sig.IsBatched() {
-		d := digest(payload)
-		key := directKey(d, sig.SignerID, sig.Direct)
-		v.mu.Lock()
-		hit := v.direct[key]
-		v.mu.Unlock()
-		if hit {
-			v.directHits.Add(1)
-			return true
-		}
-		if !v.verifyDigest(sig.SignerID, d, sig.Direct) {
-			return false
-		}
-		v.mu.Lock()
-		if !v.direct[key] {
-			if len(v.directOrder) >= v.max {
-				oldest := v.directOrder[0]
-				v.directOrder = v.directOrder[1:]
-				delete(v.direct, oldest)
-			}
-			v.direct[key] = true
-			v.directOrder = append(v.directOrder, key)
-		}
-		v.mu.Unlock()
-		return true
+		return v.verifyDigest(sig.SignerID, digest(payload), sig.Direct)
 	}
-	if !VerifyProof(payload, sig.Index, sig.Proof, sig.Root) {
+	b := sig.Batch
+	if !VerifyProof(payload, b.Index, b.Proof, b.Root) {
 		return false
 	}
 	v.mu.Lock()
-	cachedSigner, hit := v.cache[sig.Root]
+	cachedSigner, hit := v.cache[b.Root]
 	v.mu.Unlock()
 	if hit && cachedSigner == sig.SignerID {
 		return true
 	}
-	if !v.verifyDigest(sig.SignerID, sig.Root, sig.RootSig) {
+	if !v.verifyDigest(sig.SignerID, b.Root, b.RootSig) {
 		return false
 	}
 	v.mu.Lock()
-	if _, exists := v.cache[sig.Root]; !exists {
+	if _, exists := v.cache[b.Root]; !exists {
 		if len(v.order) >= v.max {
 			oldest := v.order[0]
 			v.order = v.order[1:]
 			delete(v.cache, oldest)
 		}
-		v.cache[sig.Root] = sig.SignerID
-		v.order = append(v.order, sig.Root)
+		v.cache[b.Root] = sig.SignerID
+		v.order = append(v.order, b.Root)
 	}
 	v.mu.Unlock()
 	return true

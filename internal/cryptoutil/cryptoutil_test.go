@@ -135,13 +135,13 @@ func TestBatchSignerSizeFlush(t *testing.T) {
 		t.Fatal("batch did not flush at size")
 	}
 	sv := NewSigVerifier(reg, 16)
-	root := sigs[0].Root
+	root := sigs[0].Batch.Root
 	for i := range sigs {
-		if sigs[i].Root != root {
+		if sigs[i].Batch.Root != root {
 			t.Fatal("batch should share one root")
 		}
 		s := sigs[i]
-		if !sv.Verify(payloads[s.Index], &s) {
+		if !sv.Verify(payloads[s.Batch.Index], &s) {
 			t.Fatalf("batched signature %d failed to verify", i)
 		}
 	}
@@ -232,7 +232,9 @@ func TestSigVerifierRootCache(t *testing.T) {
 	// Second verification of the same root hits the cache; a corrupted
 	// root signature must still fail because the proof binds the payload.
 	bad := p2.sig
-	bad.Index = p1.sig.Index // wrong index -> proof mismatch
+	proof := *p2.sig.Batch
+	proof.Index = p1.sig.Batch.Index // wrong index -> proof mismatch
+	bad.Batch = &proof
 	if sv.Verify(p2.payload, &bad) {
 		t.Fatal("cache bypassed the inclusion proof")
 	}

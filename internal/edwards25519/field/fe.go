@@ -5,8 +5,10 @@
 // Package field implements fast arithmetic modulo 2^255-19.
 //
 // It is the field directory of Go 1.24's
-// crypto/internal/fips140/edwards25519 with the assembly and the
+// crypto/internal/fips140/edwards25519 with the arm64 assembly and the
 // X25519-only helpers removed; see the parent package for provenance.
+// On amd64 feMul and feSquare are the upstream assembly; elsewhere, and
+// under -tags purego, they are the generic code.
 // Elements are plain values owned by their caller; nothing here is shared
 // or locked.
 package field

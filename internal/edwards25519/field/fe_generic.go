@@ -265,11 +265,8 @@ func (v *Element) carryPropagateGeneric() *Element {
 	return v
 }
 
-// The upstream package dispatches these to amd64/arm64 assembly; this copy
-// keeps only the portable code.
-
-func feMul(v, x, y *Element) { feMulGeneric(v, x, y) }
-
-func feSquare(v, x *Element) { feSquareGeneric(v, x) }
+// feMul and feSquare are amd64 assembly (fe_amd64.s) or the generic code
+// (fe_amd64_noasm.go). Upstream also has an arm64 carryPropagate; this
+// copy does not, so it always runs the generic one.
 
 func (v *Element) carryPropagate() *Element { return v.carryPropagateGeneric() }

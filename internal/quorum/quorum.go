@@ -179,7 +179,7 @@ func (v *Verifier) allSigs(n int, check func(i int) bool) bool {
 }
 
 // certCacheCap bounds the verified-certificate cache, matching the
-// SigVerifier caches. A replica meets each writeback's certificate about
+// SigVerifier root cache. A replica meets each writeback's certificate about
 // once: duplicate writebacks are answered from the store before
 // verification, so a larger cache only holds dead entries.
 const certCacheCap = 4096

@@ -14,15 +14,20 @@ import (
 // states sit below the checkpoint watermark — which promises nothing at or
 // below it will ever be read, prepared, or recovered again (store.GC) —
 // with every waiter answered, so the checkpoint pass deletes them from
-// Replica.txs (collectBelow). Replica memory is thereby O(live
-// transactions), not O(history).
+// Replica.txs (collectBelow). A state finalized with its decision
+// certificate does not wait for the watermark: finalize deletes it as
+// soon as its waiters are answered (collectFinalized), because the store
+// then proves the outcome to every later request. Replica memory is
+// thereby O(live transactions), not O(history).
 //
 // The removal is safe only because resurrection is guarded: a late
 // duplicate ST1/recovery/writeback for a collected transaction finds no
 // state, and lifecycleCheck answers it from the store's finalized table
 // (which store.GC retains for live writers) or drops it when it is below
 // the watermark with no provable outcome — it never re-runs the MVTSO
-// check, which could contradict the vote whose state is gone.
+// check, which could contradict the vote whose state is gone. An ST1
+// that passed lifecycleCheck just before a finalize collected the state
+// re-reads the finalized table before it claims the check (onST1).
 
 // txPhase is a txState's lifecycle phase, derived (not stored) by
 // phaseLocked from the flags the protocol already maintains.
@@ -155,6 +160,36 @@ func (r *Replica) markLive(t *txState) {
 func (r *Replica) unmarkLive(id types.TxID) {
 	r.mu.Lock()
 	delete(r.live, id)
+	r.mu.Unlock()
+}
+
+// collectFinalized deletes t from txs after finalize has answered its
+// waiters. The identity check is collectBelow's: a handler may already
+// have raced a fresh state for the same id into the map.
+func (r *Replica) collectFinalized(t *txState) {
+	r.mu.Lock()
+	collected := r.txs[t.id] == t
+	if collected {
+		delete(r.txs, t.id)
+	}
+	r.mu.Unlock()
+	if collected {
+		r.Stats.TxCollected.Add(1)
+	}
+}
+
+// dropFreshLocked deletes t, a state onST1 found to belong to an already
+// collected transaction, unless another handler has given it a waiter or
+// a ballot meanwhile. Caller holds t.mu and has seen it promise-free; a
+// handler still holding t re-inserts it at its next promise (markLive).
+func (r *Replica) dropFreshLocked(t *txState) {
+	if t.voteWaiters.length() > 0 || t.interested.length() > 0 || t.ballots != nil {
+		return
+	}
+	r.mu.Lock()
+	if r.txs[t.id] == t {
+		delete(r.txs, t.id)
+	}
 	r.mu.Unlock()
 }
 

@@ -2,7 +2,9 @@ package replica
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -183,7 +185,9 @@ func TestCheckpointCollectsOnlyFinishedState(t *testing.T) {
 	idPrep := mPrep.Meta.ID()
 	r.Deliver(client, mPrep)
 	awaitReply(t, st1, idPrep)
-	if r.TxStateCount() != finalized+1 {
+	// Finalizing with a certificate collects a state at once, so only the
+	// prepared one is left before the checkpoint runs.
+	if r.TxStateCount() != 1 {
 		t.Fatalf("setup: %d states", r.TxStateCount())
 	}
 
@@ -203,5 +207,92 @@ func TestCheckpointCollectsOnlyFinishedState(t *testing.T) {
 	r.Deliver(client, &types.ST1Request{ReqID: 9, ClientID: 9, Meta: mPrep.Meta})
 	if rep := awaitReply(t, st1, idPrep); rep.Vote != types.VoteCommit {
 		t.Fatalf("prepared survivor vote: %v", rep.Vote)
+	}
+}
+
+// TestDuplicateST1RacingWritebackCollected races a duplicate ST1 against
+// the writeback that finalizes (and, with its certificate, at once
+// collects) the transaction. Whichever wins, the duplicate must get the
+// vote this replica already promised or the decision's certificate —
+// never a vote from a re-run check — and no state may stay in txs. A
+// second mode races the writeback against the first ST1 this replica
+// sees, with a commit decision that any honest vote agrees with. Run it
+// under -race with -count=10 (make test-race does).
+func TestDuplicateST1RacingWritebackCollected(t *testing.T) {
+	r, net := newTestReplica(t, 1)
+	defer net.Close()
+	defer r.Close()
+	client := transport.ClientAddr(9)
+	replies := make(chan *types.ST1Reply, 64)
+	net.Register(client, transport.HandlerFunc(func(_ transport.Addr, msg any) {
+		if rep, ok := msg.(*types.ST1Reply); ok {
+			replies <- rep
+		}
+	}))
+	await := func(id types.TxID, reqID uint64) *types.ST1Reply {
+		t.Helper()
+		deadline := time.After(5 * time.Second)
+		for {
+			select {
+			case rep := <-replies:
+				if rep.TxID == id && rep.ReqID == reqID {
+					return rep
+				}
+			case <-deadline:
+				t.Fatalf("no ST1 reply %d for %x", reqID, id[:4])
+			}
+		}
+	}
+
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		fresh := i%3 == 2
+		dec := types.DecisionCommit
+		if i%3 == 1 {
+			dec = types.DecisionAbort
+		}
+		m := st1For(fmt.Sprintf("race%d", i), uint64(10+i))
+		id := m.Meta.ID()
+		if !fresh {
+			r.onST1(client, m)
+			if rep := await(id, m.ReqID); rep.Vote != types.VoteCommit {
+				t.Fatalf("round %d: setup vote %v", i, rep.Vote)
+			}
+		}
+		dup := &types.ST1Request{ReqID: 2, ClientID: 9, Meta: m.Meta}
+		cert := &types.DecisionCert{TxID: id, Decision: dec}
+		var start, done sync.WaitGroup
+		start.Add(1)
+		done.Add(2)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			r.finalize(id, m.Meta, dec, cert, types.TraceContext{})
+		}()
+		go func() {
+			defer done.Done()
+			start.Wait()
+			r.onST1(client, dup)
+		}()
+		start.Done()
+		done.Wait()
+
+		rep := await(id, dup.ReqID)
+		switch {
+		case rep.RPKind == types.RPCert:
+			if rep.Cert == nil || rep.Cert.Decision != dec {
+				t.Fatalf("round %d: certificate reply %v, want decision %v", i, rep.Cert, dec)
+			}
+		case rep.Vote != types.VoteCommit:
+			// Every honest vote here is commit: the promised one, or a
+			// fresh key's check, or one derived from a commit decision.
+			t.Fatalf("round %d (fresh=%v, decision %v): duplicate got vote %v", i, fresh, dec, rep.Vote)
+		}
+		if r.peekTx(id) != nil {
+			t.Fatalf("round %d (fresh=%v): state left in txs after the writeback", i, fresh)
+		}
+	}
+	if n := r.TxStateCount(); n != 0 {
+		t.Fatalf("%d states left after %d rounds", n, rounds)
 	}
 }

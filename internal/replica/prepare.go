@@ -85,6 +85,15 @@ func (r *Replica) onST1(from transport.Addr, m *types.ST1Request) {
 		t.mu.Unlock()
 		return
 	}
+	if rec, ok := r.store.FinalizedOutcome(id); ok && rec.Cert != nil {
+		// A writeback finalized and collected the transaction between the
+		// lifecycle check and r.tx, so t is a fresh state: answer from the
+		// store as lifecycleCheck would have, never from a new check.
+		r.dropFreshLocked(t)
+		t.mu.Unlock()
+		r.serveFinalized(from, m.ReqID, rec)
+		return
+	}
 	t.checkStarted = true
 	t.mu.Unlock()
 
@@ -512,6 +521,12 @@ func (r *Replica) finalize(id types.TxID, meta *types.TxMeta, dec types.Decision
 	// Finalized states leave the checkpoint-capture index: the outcome is
 	// in the store section of every future snapshot.
 	r.unmarkLive(id)
+	if cert != nil {
+		// With the certificate in the store, every late duplicate is
+		// answered from there (lifecycleCheck), so the state goes now
+		// rather than at a watermark that trails the clock by 2δ.
+		r.collectFinalized(t)
+	}
 	if first && dec == types.DecisionCommit && meta != nil {
 		r.adm.noteCommitted(meta.Timestamp.ClientID)
 	}

@@ -234,8 +234,9 @@ type Stats struct {
 	// SigsVerified counts ed25519 checks the replica's verifier ran;
 	// answers from its caches are not counted.
 	SigsVerified atomic.Uint64
-	// TxCollected counts txStates reclaimed below the checkpoint
-	// watermark; WaiterEvictions counts per-transaction waiter entries
+	// TxCollected counts txStates reclaimed, by finalize once a
+	// certificate proves the outcome or below the checkpoint watermark;
+	// WaiterEvictions counts per-transaction waiter entries
 	// displaced by the evict-oldest cap; StaleDrops counts below-watermark
 	// messages for unknown transactions dropped instead of re-run (the
 	// resurrection guard's third verdict).

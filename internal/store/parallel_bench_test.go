@@ -65,8 +65,8 @@ func deliverSeedSerial(mu *sync.Mutex, reg *cryptoutil.Registry, s *Store, m *si
 }
 
 // deliverPipeline processes one delivery the way the parallel pipeline
-// does: verification off every lock through the digest-caching verifier,
-// then the striped store.
+// does: verification off every lock through the SigVerifier, then the
+// striped store.
 func deliverPipeline(sv *cryptoutil.SigVerifier, s *Store, m *signedST1) {
 	sig := m.sig
 	if !sv.Verify(m.payload, &sig) {
@@ -102,11 +102,12 @@ func metricsStore() (*Store, *metrics.Histogram) {
 // message is delivered twice — votes really are re-verified on
 // re-delivery and when tallies/certificates re-carry them — so:
 //
-//   - seed-serial: the pre-PR shape. One lock around verify+check, no
-//     verified-digest cache, single-stripe store: both deliveries pay the
-//     full ed25519 verification inside the global critical section.
-//   - pipeline: this PR's shape. Verification outside any lock through
-//     the digest cache (the re-delivery hits), striped store.
+//   - seed-serial: the serial shape. One lock around verify+check,
+//     single-stripe store: both deliveries pay the full ed25519
+//     verification inside the global critical section.
+//   - pipeline: the parallel shape. Verification outside any lock,
+//     striped store. Both deliveries verify here too: SigVerifier keeps
+//     no digest cache for direct signatures.
 //
 // Run with -benchtime=2000x (as `make bench` does) so the 4096 pre-signed
 // messages are not reused and every message sees exactly two deliveries.
@@ -276,9 +277,9 @@ func TestWriteParallelBench(t *testing.T) {
 		Benchmark: "BenchmarkPrepareParallel",
 		Workload:  "disjoint-key signed prepares, every message delivered twice (re-delivery/tally re-carriage)",
 		Results: []parallelBenchResult{
-			{Name: "seed-serial (verify under one lock, no cache)", Stripes: 1, GoMaxProcs: 4,
+			{Name: "seed-serial (verify under one lock)", Stripes: 1, GoMaxProcs: 4,
 				NsPerOp: seedNs, PreparesPerSec: 1e9 / seedNs},
-			{Name: "pipeline (off-lock cached verify, striped store)", Stripes: DefaultStripes, GoMaxProcs: 4,
+			{Name: "pipeline (off-lock verify, striped store)", Stripes: DefaultStripes, GoMaxProcs: 4,
 				NsPerOp: pipeNs, PreparesPerSec: 1e9 / pipeNs},
 			{Name: "pipeline-metrics (live deliver histogram + store counters)", Stripes: DefaultStripes, GoMaxProcs: 4,
 				NsPerOp: metricsNs, PreparesPerSec: 1e9 / metricsNs},

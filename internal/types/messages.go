@@ -27,15 +27,21 @@ const (
 	MsgOverloaded // explicit load-shed reply from an over-capacity replica
 )
 
-// Signature authenticates a replica reply. Exactly one of Direct or
-// (Root, RootSig, Proof, Index) is populated. SignerID is the replica's
-// global key-registry index.
+// Signature authenticates a replica reply. Exactly one of Direct or Batch
+// is populated. SignerID is the replica's global key-registry index.
 type Signature struct {
 	SignerID int32
 	// Direct is an ed25519 signature over the payload digest.
 	Direct []byte
-	// Batched form: the payload's leaf hash is proven against Root by
-	// Proof/Index, and RootSig signs Root (paper §4.4).
+	// Batch is the Merkle-batched form (paper §4.4), nil for a direct
+	// signature. It sits behind a pointer so the common direct signature
+	// does not carry its 80 bytes.
+	Batch *BatchProof
+}
+
+// BatchProof is the batched form of a Signature: the payload's leaf hash
+// is proven against Root by Proof/Index, and RootSig signs Root.
+type BatchProof struct {
 	Root    [32]byte
 	RootSig []byte
 	Proof   [][32]byte
@@ -43,7 +49,7 @@ type Signature struct {
 }
 
 // IsBatched reports whether the signature uses the Merkle-batched form.
-func (s *Signature) IsBatched() bool { return len(s.RootSig) > 0 }
+func (s *Signature) IsBatched() bool { return s.Batch != nil && len(s.Batch.RootSig) > 0 }
 
 // domain tags keep signature payloads for different message kinds disjoint.
 const (

@@ -260,17 +260,27 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
+// appendSignature writes both forms' fields; a direct signature's nil
+// Batch encodes as the zero batched fields, so the bytes do not depend on
+// the in-memory layout.
 func appendSignature(b []byte, s *Signature) []byte {
 	b = appendU32(b, uint32(s.SignerID))
 	b = appendBytes(b, s.Direct)
-	b = append(b, s.Root[:]...)
-	b = appendBytes(b, s.RootSig)
-	b = appendU32(b, uint32(len(s.Proof)))
-	for _, p := range s.Proof {
+	bp := s.Batch
+	if bp == nil {
+		bp = &noBatch
+	}
+	b = append(b, bp.Root[:]...)
+	b = appendBytes(b, bp.RootSig)
+	b = appendU32(b, uint32(len(bp.Proof)))
+	for _, p := range bp.Proof {
 		b = append(b, p[:]...)
 	}
-	return appendU32(b, s.Index)
+	return appendU32(b, bp.Index)
 }
+
+// noBatch is the all-zero batched form a direct signature encodes.
+var noBatch BatchProof
 
 func appendTxMetaOpt(b []byte, m *TxMeta) []byte {
 	if m == nil {
@@ -410,16 +420,22 @@ func (d *decoder) count() int {
 
 func (d *decoder) hash32() [32]byte { return [32]byte(d.txid()) }
 
+// signature decodes a Signature, leaving Batch nil when every batched
+// field is zero, the encoding of a direct signature.
 func (d *decoder) signature() Signature {
 	s := Signature{SignerID: int32(d.u32())}
 	s.Direct = d.bytes()
-	s.Root = d.hash32()
-	s.RootSig = d.bytes()
+	root := d.hash32()
+	rootSig := d.bytes()
+	var proof [][32]byte
 	n := d.count()
 	for i := 0; i < n && d.err == nil; i++ {
-		s.Proof = append(s.Proof, d.hash32())
+		proof = append(proof, d.hash32())
 	}
-	s.Index = d.u32()
+	index := d.u32()
+	if root != ([32]byte{}) || len(rootSig) > 0 || len(proof) > 0 || index != 0 {
+		s.Batch = &BatchProof{Root: root, RootSig: rootSig, Proof: proof, Index: index}
+	}
 	return s
 }
 

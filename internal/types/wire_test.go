@@ -3,7 +3,9 @@ package types
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/hex"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -40,10 +42,11 @@ func (w *wireRand) sig(batched bool) Signature {
 		s.Direct = w.bytes(64)
 		return s
 	}
-	s.Root = w.hash()
-	s.RootSig = w.bytes(64)
-	s.Proof = [][32]byte{w.hash(), w.hash()}
-	s.Index = w.r.Uint32()
+	s.Batch = &BatchProof{}
+	s.Batch.Root = w.hash()
+	s.Batch.RootSig = w.bytes(64)
+	s.Batch.Proof = [][32]byte{w.hash(), w.hash()}
+	s.Batch.Index = w.r.Uint32()
 	return s
 }
 
@@ -352,6 +355,36 @@ func TestWireUnsampledTraceContextUnchangedBytes(t *testing.T) {
 		reBare, _ := EncodeMessage(msg)
 		if !bytes.Equal(reBare, encBare) {
 			t.Fatalf("%T: clearing the context should reproduce the bare bytes", msg)
+		}
+	}
+}
+
+// TestWireSignatureBytesPinned pins the signature encoding to fixed
+// bytes, whatever the in-memory layout: a direct signature writes zero
+// batched fields, and both forms decode back to their fields, with a nil
+// Batch for the direct one.
+func TestWireSignatureBytesPinned(t *testing.T) {
+	cases := []struct {
+		sig  Signature
+		want string
+	}{
+		{Signature{SignerID: 3, Direct: []byte{1, 2, 3, 4}},
+			"0000000300000004010203040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		{Signature{SignerID: 5, Batch: &BatchProof{Root: [32]byte{9, 8, 7}, RootSig: []byte{6, 5}, Proof: [][32]byte{{1}, {2, 2}}, Index: 7}},
+			"00000005000000000908070000000000000000000000000000000000000000000000000000000000000000020605000000020100000000000000000000000000000000000000000000000000000000000000020200000000000000000000000000000000000000000000000000000000000000000007"},
+	}
+	for _, c := range cases {
+		enc := appendSignature(nil, &c.sig)
+		if got := hex.EncodeToString(enc); got != c.want {
+			t.Fatalf("signature %+v encodes to\n%s\nwant\n%s", c.sig, got, c.want)
+		}
+		d := &decoder{b: enc}
+		got := d.signature()
+		if d.err != nil || len(d.b) != 0 || (got.Batch == nil) != (c.sig.Batch == nil) {
+			t.Fatalf("decoded %+v (err %v, %d bytes left), want %+v", got, d.err, len(d.b), c.sig)
+		}
+		if got.Batch != nil && !reflect.DeepEqual(*got.Batch, *c.sig.Batch) {
+			t.Fatalf("decoded batch %+v, want %+v", *got.Batch, *c.sig.Batch)
 		}
 	}
 }
