@@ -56,11 +56,11 @@ test:
 # its Tuning), and the edwards25519 comb behind signature verification
 # (its shared basepoint comb is built once, on first use, by whichever
 # goroutine verifies first). A replica collects a transaction's state the
-# moment a writeback finalizes it, so the duplicate-ST1-versus-writeback
-# race runs ten times. Runs as part of `make check`.
+# moment a writeback finalizes it, so the races of ST1, ST2 and fallback
+# requests against that writeback run ten times. Runs as part of `make check`.
 test-race:
 	$(GO) test -race ./internal/transport/ ./internal/client/ ./internal/replica/ ./internal/store/ ./internal/wal/ ./internal/metrics/ ./internal/quorum/ ./internal/benchharness/ ./internal/types/ ./internal/cryptoutil/ ./internal/trace/ ./internal/faults/ ./internal/scenario/ ./internal/edwards25519/...
-	$(GO) test -race -count=10 ./internal/replica/ -run TestDuplicateST1RacingWritebackCollected
+	$(GO) test -race -count=10 ./internal/replica/ -run RacingWritebackCollected
 	$(GO) test -race ./basil/ -run 'TestCrashRestart|TestRestartReplica|TestOverloadSheds'
 
 # On amd64 the field multiply is assembly; the generic Go field code that

@@ -65,24 +65,20 @@ func (r *Replica) onInvokeFB(from transport.Addr, m *types.InvokeFB) {
 
 	t := r.tx(m.TxID)
 	t.mu.Lock()
+	if rec, ok := r.provenLocked(t); ok {
+		// Serve the certificate without registering interest, so an
+		// answered client does not pin the state as non-collectable.
+		t.mu.Unlock()
+		r.serveFinalized(from, m.ReqID, rec)
+		return
+	}
 	if t.meta == nil {
 		t.meta = m.Meta
 	}
-
 	if t.finalized {
-		// Serve the certificate when the store still proves it — without
-		// registering interest, so an answered client does not pin the
-		// state as non-collectable. Only a certless finalized record (the
-		// certificate never reached this replica) keeps the client
-		// registered for the eventual writeback's notification round.
-		if rec, ok := r.store.Tx(m.TxID); ok && rec.Cert != nil {
-			t.mu.Unlock()
-			r.send(from, &types.ST1Reply{
-				ReqID: m.ReqID, TxID: m.TxID, ShardID: r.cfg.Shard, ReplicaID: r.cfg.Index,
-				RPKind: types.RPCert, Cert: rec.Cert, CertMeta: rec.Meta,
-			})
-			return
-		}
+		// A certless finalized record (the certificate never reached
+		// this replica) keeps the client registered for the eventual
+		// writeback's notification round.
 		r.addWaiterLocked(&t.interested, from, m.ReqID)
 		t.mu.Unlock()
 		return
@@ -110,6 +106,13 @@ func (r *Replica) onInvokeFB(from transport.Addr, m *types.InvokeFB) {
 			return
 		}
 		t.mu.Lock()
+		if rec, ok := r.provenLocked(t); ok {
+			// Finalized while the lock was dropped: the certificate, not
+			// a ballot for the invoking client's decision, is the answer.
+			t.mu.Unlock()
+			r.serveFinalized(from, m.ReqID, rec)
+			return
+		}
 		if !t.decisionLogged {
 			t.decision = m.Decision
 			t.decisionLogged = true
@@ -189,6 +192,10 @@ func (r *Replica) onElectFB(_ transport.Addr, m *types.ElectFB) {
 	}
 	t := r.tx(m.TxID)
 	t.mu.Lock()
+	if _, ok := r.provenLocked(t); ok {
+		t.mu.Unlock()
+		return // decided: there is no election left to win
+	}
 	if t.ballots == nil {
 		t.ballots = make(map[uint64]map[int32]types.ElectFB)
 	}
@@ -298,6 +305,10 @@ func (r *Replica) onDecFB(_ transport.Addr, m *types.DecFB) {
 
 	t := r.tx(m.TxID)
 	t.mu.Lock()
+	if _, ok := r.provenLocked(t); ok {
+		t.mu.Unlock()
+		return // finalized since the check above
+	}
 	if t.viewCurrent > m.View {
 		t.mu.Unlock()
 		return // stale proposal from an older view

@@ -16,18 +16,20 @@ import (
 // with every waiter answered, so the checkpoint pass deletes them from
 // Replica.txs (collectBelow). A state finalized with its decision
 // certificate does not wait for the watermark: finalize deletes it as
-// soon as its waiters are answered (collectFinalized), because the store
-// then proves the outcome to every later request. Replica memory is
-// thereby O(live transactions), not O(history).
+// soon as its waiters are answered, because the store then proves the
+// outcome to every later request. Replica memory is thereby O(live
+// transactions), not O(history).
 //
 // The removal is safe only because resurrection is guarded: a late
 // duplicate ST1/recovery/writeback for a collected transaction finds no
 // state, and lifecycleCheck answers it from the store's finalized table
 // (which store.GC retains for live writers) or drops it when it is below
 // the watermark with no provable outcome — it never re-runs the MVTSO
-// check, which could contradict the vote whose state is gone. An ST1
+// check, which could contradict the vote whose state is gone. A request
 // that passed lifecycleCheck just before a finalize collected the state
-// re-reads the finalized table before it claims the check (onST1).
+// meets the same table again under the state's lock (provenLocked), so
+// no handler votes, logs a decision or counts a ballot into a state that
+// has forgotten what this replica already promised.
 
 // txPhase is a txState's lifecycle phase, derived (not stored) by
 // phaseLocked from the flags the protocol already maintains.
@@ -163,34 +165,39 @@ func (r *Replica) unmarkLive(id types.TxID) {
 	r.mu.Unlock()
 }
 
-// collectFinalized deletes t from txs after finalize has answered its
-// waiters. The identity check is collectBelow's: a handler may already
-// have raced a fresh state for the same id into the map.
-func (r *Replica) collectFinalized(t *txState) {
+// dropTx deletes t from txs and the live index if the map still holds
+// this t: a handler may have raced a fresh state for the same id in, and
+// only the object the caller classified may go. Reports whether it did.
+func (r *Replica) dropTx(t *txState) bool {
 	r.mu.Lock()
-	collected := r.txs[t.id] == t
-	if collected {
+	dropped := r.txs[t.id] == t
+	if dropped {
 		delete(r.txs, t.id)
+		delete(r.live, t.id)
 	}
 	r.mu.Unlock()
-	if collected {
-		r.Stats.TxCollected.Add(1)
-	}
+	return dropped
 }
 
-// dropFreshLocked deletes t, a state onST1 found to belong to an already
-// collected transaction, unless another handler has given it a waiter or
-// a ballot meanwhile. Caller holds t.mu and has seen it promise-free; a
-// handler still holding t re-inserts it at its next promise (markLive).
-func (r *Replica) dropFreshLocked(t *txState) {
-	if t.voteWaiters.length() > 0 || t.interested.length() > 0 || t.ballots != nil {
-		return
+// provenLocked returns the store's certified outcome for t's transaction
+// when there is one. Every handler that can vote, log a decision or take
+// a ballot calls it under t.mu after r.tx, and answers from the returned
+// record instead: lifecycleCheck ran before r.tx, so a writeback may have
+// finalized and collected the transaction in between, and t is then
+// either the collected state or a fresh one that knows nothing of the
+// vote or decision this replica already logged. A fresh state is dropped
+// again; anything with a promise, a waiter or a ballot is left for the
+// finalize that owns it.
+func (r *Replica) provenLocked(t *txState) (store.TxRecord, bool) {
+	rec, ok := r.store.FinalizedOutcome(t.id)
+	if !ok || rec.Cert == nil {
+		return store.TxRecord{}, false
 	}
-	r.mu.Lock()
-	if r.txs[t.id] == t {
-		delete(r.txs, t.id)
+	if !t.checkStarted && !t.voteReady && !t.decisionLogged && !t.finalized &&
+		t.voteWaiters.length() == 0 && t.interested.length() == 0 && t.ballots == nil {
+		r.dropTx(t)
 	}
-	r.mu.Unlock()
+	return rec, true
 }
 
 // TxStateCount returns the number of per-transaction protocol states held
@@ -329,15 +336,9 @@ func (r *Replica) collectBelow(wm types.Timestamp) int {
 		}
 		t.mu.Unlock()
 
-		r.mu.Lock()
-		// Identity check: a handler may have raced a fresh state for the
-		// same id into the map; only remove the object we classified.
-		if r.txs[t.id] == t {
-			delete(r.txs, t.id)
-			delete(r.live, t.id)
+		if r.dropTx(t) {
 			collected++
 		}
-		r.mu.Unlock()
 	}
 	for _, n := range notify {
 		r.send(n.addr, n.reply)

@@ -181,13 +181,18 @@ func TestCheckpointCollectsOnlyFinishedState(t *testing.T) {
 		r.finalize(id, m.Meta, types.DecisionCommit,
 			&types.DecisionCert{TxID: id, Decision: types.DecisionCommit}, types.TraceContext{})
 	}
+	// Finalizing with a certificate collects a state at once; one
+	// finalized without a certificate stays for the checkpoint to take.
+	mBare := st1For("bare", 40)
+	idBare := mBare.Meta.ID()
+	r.Deliver(client, mBare)
+	awaitReply(t, st1, idBare)
+	r.finalize(idBare, mBare.Meta, types.DecisionCommit, nil, types.TraceContext{})
 	mPrep := st1For("prep", 50)
 	idPrep := mPrep.Meta.ID()
 	r.Deliver(client, mPrep)
 	awaitReply(t, st1, idPrep)
-	// Finalizing with a certificate collects a state at once, so only the
-	// prepared one is left before the checkpoint runs.
-	if r.TxStateCount() != 1 {
+	if r.TxStateCount() != 2 || r.peekTx(idBare) == nil {
 		t.Fatalf("setup: %d states", r.TxStateCount())
 	}
 
@@ -197,11 +202,14 @@ func TestCheckpointCollectsOnlyFinishedState(t *testing.T) {
 	if n := r.TxStateCount(); n != 1 {
 		t.Fatalf("txStates after collect = %d, want 1 (the prepared one)", n)
 	}
+	if r.peekTx(idBare) != nil {
+		t.Fatal("checkpoint kept the finalized state")
+	}
 	if r.Store().TxStatusOf(idPrep) != store.StatusPrepared {
 		t.Fatal("prepared transaction lost")
 	}
-	if got := r.Stats.TxCollected.Load(); got != finalized {
-		t.Fatalf("TxCollected = %d, want %d", got, finalized)
+	if got := r.Stats.TxCollected.Load(); got != finalized+1 {
+		t.Fatalf("TxCollected = %d, want %d", got, finalized+1)
 	}
 	// The survivor still answers duplicates with its original vote.
 	r.Deliver(client, &types.ST1Request{ReqID: 9, ClientID: 9, Meta: mPrep.Meta})
@@ -290,6 +298,146 @@ func TestDuplicateST1RacingWritebackCollected(t *testing.T) {
 		}
 		if r.peekTx(id) != nil {
 			t.Fatalf("round %d (fresh=%v): state left in txs after the writeback", i, fresh)
+		}
+	}
+	if n := r.TxStateCount(); n != 0 {
+		t.Fatalf("%d states left after %d rounds", n, rounds)
+	}
+}
+
+// TestDecisionRacingWritebackCollected races an ST2 or a fallback
+// invocation that carries an abort, justified by signed abort votes,
+// against the writeback that finalizes (and collects) a committed
+// transaction. In the logged modes this replica has already logged the
+// commit decision, so every ST2R, ballot and certificate it sends must
+// carry commit: a handler that rebuilt a fresh state after the
+// collection would log and sign the abort, breaking the rule that a
+// correct replica never changes a logged decision within a view. In the
+// vote-only modes the replica has logged nothing and the racing request
+// may win with its abort, but one that reaches the state after the
+// collection (its tallies are checked with no lock held) must not log
+// into it or put it back. No mode may leave a state in txs. Run it
+// under -race with -count=10 (make test-race does).
+func TestDecisionRacingWritebackCollected(t *testing.T) {
+	r, net := newTestReplica(t, 1)
+	defer net.Close()
+	defer r.Close()
+	type sent struct {
+		kind  string
+		id    types.TxID
+		reqID uint64 // 0 for ballots
+		dec   types.Decision
+	}
+	out := make(chan sent, 256)
+	capture := transport.HandlerFunc(func(_ transport.Addr, msg any) {
+		switch m := msg.(type) {
+		case *types.ST1Reply:
+			switch {
+			case m.RPKind == types.RPCert && m.Cert != nil:
+				out <- sent{"certificate", m.TxID, m.ReqID, m.Cert.Decision}
+			case m.RPKind == types.RPVote:
+				out <- sent{"vote", m.TxID, m.ReqID, types.DecisionNone}
+			}
+		case *types.ST2Reply:
+			out <- sent{"ST2R", m.TxID, m.ReqID, m.Decision}
+		case *types.ElectFB:
+			out <- sent{"ballot", m.TxID, 0, m.Decision}
+		}
+	})
+	client := transport.ClientAddr(9)
+	net.Register(client, capture)
+	for i := int32(1); i < 6; i++ {
+		net.Register(transport.ReplicaAddr(0, i), capture) // fallback leaders
+	}
+	tally := func(id types.TxID, vote types.Vote, n int32) []types.VoteTally {
+		tl := types.VoteTally{TxID: id, ShardID: 0, Vote: vote}
+		for i := int32(0); i < n; i++ {
+			rep := types.ST1Reply{TxID: id, ShardID: 0, ReplicaID: i, Vote: vote, RPKind: types.RPVote}
+			rep.Sig = types.Signature{SignerID: i, Direct: r.cfg.Registry.Signer(i).Sign(rep.Payload())}
+			tl.Replies = append(tl.Replies, rep)
+		}
+		return []types.VoteTally{tl}
+	}
+	// await returns the first message for id with reqID, or a ballot for
+	// id. Every message about a logged-mode transaction on the way,
+	// stragglers of earlier rounds included, must carry commit.
+	loggedCommit := make(map[types.TxID]bool)
+	await := func(round int, id types.TxID, reqID uint64) sent {
+		t.Helper()
+		deadline := time.After(5 * time.Second)
+		for {
+			select {
+			case s := <-out:
+				if loggedCommit[s.id] && s.kind != "vote" && s.dec != types.DecisionCommit {
+					t.Fatalf("round %d: %s for a logged commit carries %v", round, s.kind, s.dec)
+				}
+				if s.id == id && (s.reqID == reqID || s.kind == "ballot") {
+					return s
+				}
+			case <-deadline:
+				t.Fatalf("round %d: no answer %d for %x", round, reqID, id[:4])
+			}
+		}
+	}
+
+	modes := []struct {
+		name   string
+		st2    bool // race an ST2 (else an InvokeFB)
+		logged bool // commit decision logged before the race (else a vote only)
+	}{
+		{"st2", true, true}, {"invoke-fb", false, true},
+		{"st2-vote-only", true, false}, {"invoke-fb-vote-only", false, false},
+	}
+	const rounds = 100
+	for i, ts := 0, uint64(10); i < rounds; i++ {
+		mode := modes[i%len(modes)]
+		var m *types.ST1Request
+		for {
+			// The ballot must leave this replica: pick a transaction whose
+			// view-1 fallback leader is another replica.
+			ts++
+			m = st1For(fmt.Sprintf("dec%d", i), ts)
+			if r.leaderFor(m.Meta.ID(), 1) != r.cfg.Index {
+				break
+			}
+		}
+		meta, id := m.Meta, m.Meta.ID()
+		if mode.logged {
+			loggedCommit[id] = true
+			r.onST2(client, &types.ST2Request{ReqID: 1, ClientID: 9, TxID: id, Meta: meta,
+				Decision: types.DecisionCommit, Tallies: tally(id, types.VoteCommit, 6)})
+		} else {
+			r.onST1(client, m)
+		}
+		await(i, id, 1)
+
+		abort := tally(id, types.VoteAbort, 2)
+		cert := &types.DecisionCert{TxID: id, Decision: types.DecisionCommit}
+		var start, done sync.WaitGroup
+		start.Add(1)
+		done.Add(2)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			r.finalize(id, meta, types.DecisionCommit, cert, types.TraceContext{})
+		}()
+		go func() {
+			defer done.Done()
+			start.Wait()
+			if mode.st2 {
+				r.onST2(client, &types.ST2Request{ReqID: 2, ClientID: 9, TxID: id, Meta: meta,
+					Decision: types.DecisionAbort, Tallies: abort})
+			} else {
+				r.onInvokeFB(client, &types.InvokeFB{ReqID: 2, ClientID: 9, TxID: id, Meta: meta,
+					Decision: types.DecisionAbort, Tallies: abort})
+			}
+		}()
+		start.Done()
+		done.Wait()
+
+		await(i, id, 2)
+		if r.peekTx(id) != nil {
+			t.Fatalf("round %d (%s): state left in txs after the writeback", i, mode.name)
 		}
 	}
 	if n := r.TxStateCount(); n != 0 {

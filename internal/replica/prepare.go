@@ -41,26 +41,22 @@ func (r *Replica) onST1(from transport.Addr, m *types.ST1Request) {
 
 	t := r.tx(id)
 	t.mu.Lock()
+	if rec, ok := r.provenLocked(t); ok {
+		// Finalized with a certificate, possibly collected since the
+		// lifecycle check: the certificate is the answer, never a check
+		// re-run on fresh state. This is also the recovery fast-forward
+		// (paper §5 common case), and it registers no interest, so an
+		// answered client does not pin the state as non-collectable.
+		t.mu.Unlock()
+		r.serveFinalized(from, m.ReqID, rec)
+		return
+	}
 	if t.meta == nil {
 		t.meta = m.Meta
 	}
 	if m.Recovery {
-		// Recovery fast-forward: if we already hold a certificate or a
-		// logged decision, return that instead of a plain vote (paper §5
-		// common case). Interest is registered only when the request is
-		// not answered with the certificate right here — an immediately
-		// served client must not pin the state as non-collectable.
-		if rec, ok := r.store.Tx(id); ok && rec.Cert != nil &&
-			(rec.Status == store.StatusCommitted || rec.Status == store.StatusAborted) {
-			reply := &types.ST1Reply{
-				ReqID: m.ReqID, TxID: id, ShardID: r.cfg.Shard, ReplicaID: r.cfg.Index,
-				RPKind: types.RPCert, Cert: rec.Cert, CertMeta: rec.Meta,
-			}
-			t.mu.Unlock()
-			// Certificates are self-authenticating; no signature needed.
-			r.send(from, reply)
-			return
-		}
+		// Recovery fast-forward for a logged decision: return it as well
+		// as the plain vote.
 		r.addWaiterLocked(&t.interested, from, m.ReqID)
 		if t.decisionLogged {
 			r.replyLoggedDecisionLocked(from, m.ReqID, t)
@@ -83,15 +79,6 @@ func (r *Replica) onST1(from transport.Addr, m *types.ST1Request) {
 		// dependencies; owe this client a vote.
 		r.addWaiterLocked(&t.voteWaiters, from, m.ReqID)
 		t.mu.Unlock()
-		return
-	}
-	if rec, ok := r.store.FinalizedOutcome(id); ok && rec.Cert != nil {
-		// A writeback finalized and collected the transaction between the
-		// lifecycle check and r.tx, so t is a fresh state: answer from the
-		// store as lifecycleCheck would have, never from a new check.
-		r.dropFreshLocked(t)
-		t.mu.Unlock()
-		r.serveFinalized(from, m.ReqID, rec)
 		return
 	}
 	t.checkStarted = true
@@ -384,16 +371,30 @@ func (r *Replica) onST2(from transport.Addr, m *types.ST2Request) {
 			return
 		}
 	}
-	if !r.cfg.AllowUnvalidatedST2 && !r.decisionLoggedFor(m.TxID) {
+	validated := r.cfg.AllowUnvalidatedST2
+	if !validated && !r.decisionLoggedFor(m.TxID) {
 		vfStart := r.tracer.Start(m.TC)
 		err := r.qv.VerifyTallyJustifies(m.Meta, m.Decision, m.Tallies)
 		r.tracer.End(m.TC, r.traceNode, "replica.verify", 0, vfStart)
 		if err != nil {
 			return
 		}
+		validated = true
 	}
 	t := r.tx(m.TxID)
 	t.mu.Lock()
+	if rec, ok := r.provenLocked(t); ok {
+		t.mu.Unlock()
+		r.serveFinalized(from, m.ReqID, rec)
+		return
+	}
+	if !validated && !t.decisionLogged {
+		// The logged decision that let the tallies go unchecked belonged
+		// to a state collected since: never log an unvalidated decision
+		// in its place. The client retries.
+		t.mu.Unlock()
+		return
+	}
 	if t.meta == nil {
 		t.meta = m.Meta
 	}
@@ -521,11 +522,13 @@ func (r *Replica) finalize(id types.TxID, meta *types.TxMeta, dec types.Decision
 	// Finalized states leave the checkpoint-capture index: the outcome is
 	// in the store section of every future snapshot.
 	r.unmarkLive(id)
-	if cert != nil {
-		// With the certificate in the store, every late duplicate is
-		// answered from there (lifecycleCheck), so the state goes now
-		// rather than at a watermark that trails the clock by 2δ.
-		r.collectFinalized(t)
+	if cert != nil && r.dropTx(t) {
+		// With the certificate in the store, every later request is
+		// answered from there (lifecycleCheck, provenLocked), so the
+		// state goes now rather than at a watermark that trails the
+		// clock by 2δ. A certless record (only tests finalize without a
+		// certificate) keeps its state until the watermark.
+		r.Stats.TxCollected.Add(1)
 	}
 	if first && dec == types.DecisionCommit && meta != nil {
 		r.adm.noteCommitted(meta.Timestamp.ClientID)
