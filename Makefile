@@ -57,10 +57,13 @@ test:
 # (its shared basepoint comb is built once, on first use, by whichever
 # goroutine verifies first). A replica collects a transaction's state the
 # moment a writeback finalizes it, so the races of ST1, ST2 and fallback
-# requests against that writeback run ten times. Runs as part of `make check`.
+# requests against that writeback run ten times, as do the replica's
+# read-reply MAC-key cache (concurrent first reads from many client keys)
+# and the client's read-validation tests. Runs as part of `make check`.
 test-race:
 	$(GO) test -race ./internal/transport/ ./internal/client/ ./internal/replica/ ./internal/store/ ./internal/wal/ ./internal/metrics/ ./internal/quorum/ ./internal/benchharness/ ./internal/types/ ./internal/cryptoutil/ ./internal/trace/ ./internal/faults/ ./internal/scenario/ ./internal/edwards25519/...
 	$(GO) test -race -count=10 ./internal/replica/ -run RacingWritebackCollected
+	$(GO) test -race -count=10 ./internal/replica/ ./internal/client/ -run '^TestRead'
 	$(GO) test -race ./basil/ -run 'TestCrashRestart|TestRestartReplica|TestOverloadSheds'
 
 # On amd64 the field multiply is assembly; the generic Go field code that

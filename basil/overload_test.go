@@ -47,6 +47,15 @@ func TestOverloadShedsExplicitlyAndKeepsHonestProgress(t *testing.T) {
 	// line-rate intake flood with abandoned transactions behind it.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// halt ends the flood and the sampler however the test ends: after a
+	// failure, spammers left looping against the closed cluster would eat
+	// the CPU of every later test in the package.
+	var haltOnce sync.Once
+	halt := func() {
+		haltOnce.Do(func() { close(stop) })
+		wg.Wait()
+	}
+	defer halt()
 	for i := 0; i < 4; i++ {
 		byz := cl.NewClient()
 		wg.Add(1)
@@ -140,8 +149,7 @@ func TestOverloadShedsExplicitlyAndKeepsHonestProgress(t *testing.T) {
 		tx.Write("h0", enc(uint64(commitsEach))) // final value: keeps the lost-write check below valid
 		_ = tx.Commit()
 	}
-	close(stop)
-	wg.Wait()
+	halt()
 
 	var shed, overloads uint64
 	for i := 0; i < cl.ReplicaCount(); i++ {

@@ -283,6 +283,8 @@ func Fig6a(s Scale) Table {
 }
 
 // Fig6b reproduces the batching sweep: throughput vs signature batch size.
+// Read replies carry MACs, not signatures, so only the ST1, ST2 and
+// fallback replies ride in the Merkle batches.
 func Fig6b(s Scale) Table {
 	t := Table{Title: "Fig 6b: throughput vs batch size (tx/s)",
 		Header: []string{"workload", "b=1", "b=2", "b=4", "b=8", "b=16", "b=32"}}

@@ -113,6 +113,10 @@ type Client struct {
 	addr transport.Addr
 	qv   *quorum.Verifier
 	sv   *cryptoutil.SigVerifier
+	// keys is the client's ephemeral X25519 key and the read-reply MAC
+	// keys derived from it, one per replica; nil under the NoProofs
+	// scheme.
+	keys *cryptoutil.ClientKeys
 
 	reqSeq atomic.Uint64
 	// mu guards pending and recovered; held only for map bookkeeping,
@@ -219,6 +223,9 @@ func New(cfg Config) *Client {
 		rng: rand.New(rand.NewSource(int64(cfg.ID)*2654435761 + 1)),
 	}
 	c.qv = &quorum.Verifier{Cfg: c.qc, Sigs: c.sv, SignerOf: cfg.SignerOf, Pool: cfg.VerifyPool}
+	if cfg.Registry != nil && cfg.Registry.Scheme() != cryptoutil.SchemeNone {
+		c.keys = cryptoutil.NewClientKeys()
+	}
 	c.tracer = cfg.Tracer
 	c.traceNode = "c" + strconv.FormatInt(int64(cfg.ID), 10)
 	reg := cfg.Metrics

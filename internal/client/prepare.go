@@ -98,17 +98,18 @@ func (c *Client) acceptST1Reply(id types.TxID, tallies map[int32]*shardTally, r 
 	if !t.add(r) {
 		return false
 	}
-	if r.Vote == types.VoteAbort && r.BlockedBy != nil && len(t.blockers) < 4 {
-		t.blockers[r.BlockedBy.ID()] = r.BlockedBy
+	ev := r.Evidence()
+	if r.Vote == types.VoteAbort && ev.BlockedBy != nil && len(t.blockers) < 4 {
+		t.blockers[ev.BlockedBy.ID()] = ev.BlockedBy
 	}
 	// Abort-with-conflict fast path (case 5): validate the embedded
 	// commit certificate of the conflicting transaction.
-	if r.Vote == types.VoteAbort && r.Conflict != nil && r.ConflictMeta != nil && t.conflict == nil {
-		if r.ConflictMeta.ID() == r.Conflict.TxID &&
-			r.Conflict.Decision == types.DecisionCommit &&
-			c.qv.VerifyDecisionCert(r.Conflict, r.ConflictMeta) == nil {
-			t.conflict = r.Conflict
-			t.conflictMeta = r.ConflictMeta
+	if r.Vote == types.VoteAbort && ev.Conflict != nil && ev.ConflictMeta != nil && t.conflict == nil {
+		if ev.ConflictMeta.ID() == ev.Conflict.TxID &&
+			ev.Conflict.Decision == types.DecisionCommit &&
+			c.qv.VerifyDecisionCert(ev.Conflict, ev.ConflictMeta) == nil {
+			t.conflict = ev.Conflict
+			t.conflictMeta = ev.ConflictMeta
 			t.conflictVote = r
 		}
 	}
@@ -130,11 +131,12 @@ type prepareResult struct {
 // once they have finalized (and collected) a transaction, for example
 // after another client finished it as a dependency of its own.
 func (c *Client) servedCert(id types.TxID, r *types.ST1Reply) *types.DecisionCert {
-	if r.RPKind != types.RPCert || r.Cert == nil || r.CertMeta == nil || r.CertMeta.ID() != id ||
-		c.qv.VerifyDecisionCert(r.Cert, r.CertMeta) != nil {
+	ev := r.Evidence()
+	if r.RPKind != types.RPCert || ev.Cert == nil || ev.CertMeta == nil || ev.CertMeta.ID() != id ||
+		c.qv.VerifyDecisionCert(ev.Cert, ev.CertMeta) != nil {
 		return nil
 	}
-	return r.Cert
+	return ev.Cert
 }
 
 // decide computes the global 2PC outcome from settled tallies: commit iff
@@ -310,7 +312,7 @@ func (c *Client) collectVotes(id types.TxID, tallies map[int32]*shardTally, ch c
 					if cert := c.servedCert(id, r); cert != nil {
 						return prepareResult{decision: cert.Decision, tallies: tallies, cert: cert}, nil
 					}
-				case r.ST2R == nil:
+				case r.Evidence().ST2R == nil:
 					c.acceptST1Reply(id, tallies, r)
 				}
 			case *types.Overloaded:

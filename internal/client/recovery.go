@@ -181,9 +181,9 @@ func (c *Client) collectRecovery(id types.TxID, meta *types.TxMeta, ch chan any,
 					// shard; a signed ST2R from another shard's replica must
 					// not enter the view/quorum bookkeeping (cross-shard
 					// confusion, as on the read path).
-					if r.ST2R != nil && r.ST2R.ShardID == meta.LogShard() &&
-						c.qv.VerifyST2Reply(r.ST2R, id) == nil {
-						c.noteST2R(*r.ST2R, st2rs, matching, decisionsSeen)
+					if st2r := r.Evidence().ST2R; st2r != nil && st2r.ShardID == meta.LogShard() &&
+						c.qv.VerifyST2Reply(st2r, id) == nil {
+						c.noteST2R(*st2r, st2rs, matching, decisionsSeen)
 						if len(decisionsSeen) > 1 {
 							*divergent = true
 						}
@@ -268,10 +268,10 @@ func (c *Client) collectFallback(id types.TxID, meta *types.TxMeta, ch chan any,
 			}
 			r, ok := m.(*types.ST2Reply)
 			if !ok {
-				if s1, isS1 := m.(*types.ST1Reply); isS1 && s1.RPKind == types.RPCert &&
-					s1.Cert != nil && s1.CertMeta != nil && s1.CertMeta.ID() == id &&
-					c.qv.VerifyDecisionCert(s1.Cert, s1.CertMeta) == nil {
-					return s1.Cert.Decision, s1.Cert, true
+				if s1, isS1 := m.(*types.ST1Reply); isS1 {
+					if cert := c.servedCert(id, s1); cert != nil {
+						return cert.Decision, cert, true
+					}
 				}
 				continue
 			}

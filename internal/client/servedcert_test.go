@@ -54,8 +54,8 @@ func certReplicas(net *transport.Local, dec types.Decision, voters int32) *atomi
 					Vote: vote, Sig: types.Signature{SignerID: j}})
 			}
 			net.Send(self, from, &types.ST1Reply{ReqID: reqID, TxID: id, ShardID: 0, ReplicaID: i,
-				RPKind: types.RPCert, Cert: &types.DecisionCert{TxID: id, Decision: dec,
-					Shards: []types.ShardCert{sc}}, CertMeta: meta})
+				RPKind: types.RPCert, Ev: &types.ST1Evidence{Cert: &types.DecisionCert{TxID: id, Decision: dec,
+					Shards: []types.ShardCert{sc}}, CertMeta: meta}})
 		}))
 	}
 	return &writebacks

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cryptoutil"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -73,12 +74,40 @@ type readCandidate struct {
 	value    []byte
 	prepared bool
 	writer   *types.TxMeta
+	writerID types.TxID
+}
+
+// versionKey is what read replies must agree on to corroborate each other:
+// the version, the writer's transaction id and the value. Agreeing on the
+// timestamp alone would let one Byzantine replica choose the value (and
+// the dependency) of a version honest replicas reported.
+type versionKey struct {
+	version types.Timestamp
+	writer  types.TxID
+	value   string
+}
+
+// committedTally counts the replies reporting one committed version.
+type committedTally struct {
+	replies []*types.CommittedRead
+	// verified is how many of replies had their certificates checked.
+	verified int
+	added    bool
+}
+
+// preparedTally counts the replies reporting one prepared version; writer
+// is the first reported metadata that hashes to the version's writer id.
+type preparedTally struct {
+	n      int
+	writer *types.TxMeta
+	added  bool
 }
 
 // Read returns the value of key visible at the transaction's timestamp
 // (paper §4.1 Read): it broadcasts to ReadWait+f replicas, waits for
-// ReadWait replies, validates them (commit certificates for committed
-// versions, f+1 agreement for prepared or genesis versions), and picks the
+// ReadWait MAC-authenticated replies, validates them (f+1 agreement on
+// version, writer and value for any version, or the commit certificate of
+// a committed version no f+1 replicas corroborate), and picks the
 // highest-timestamped valid version. Reading a prepared version records a
 // dependency on its writer.
 func (t *Txn) Read(key string) ([]byte, error) {
@@ -111,6 +140,9 @@ func (t *Txn) Read(key string) ([]byte, error) {
 	for {
 		reqID, ch := c.newRequest(len(replicas))
 		req := &types.ReadRequest{ReqID: reqID, ClientID: uint64(c.cfg.ID), Key: key, Ts: t.ts, TC: c.curTC}
+		if c.keys != nil {
+			req.ClientKey = c.keys.Public()
+		}
 		n := fanout
 		if attempt > 0 {
 			n = len(replicas) // retry against the full shard
@@ -141,19 +173,29 @@ func (t *Txn) Read(key string) ([]byte, error) {
 
 // collectRead gathers replies until a valid choice exists. shard is the
 // shard the request targeted; replies from any other shard are rejected
-// even when correctly signed.
+// even when correctly authenticated.
+//
+// A version becomes a candidate once f+1 replies report it identically
+// (one reply with ReadWait = 1, Fig. 5b "one read"): at least one correct
+// replica then holds it, which for a committed version is what its
+// certificate would prove — that replica verified the certificate at
+// writeback. Certificates are checked only once ReadWait replies are in,
+// and only for uncorroborated committed versions newer than every
+// candidate, so the choice equals that of checking every certificate.
 func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([]byte, error) {
 	c := t.c
 	need := c.cfg.ReadWait
-	trustSingle := need == 1 // Fig. 5b "one read": no cross-validation
+	valid := c.qc.ReadValidity()
+	if need == 1 {
+		valid = 1 // Fig. 5b "one read": no cross-validation
+	}
 
 	var (
 		got       int
 		cands     []readCandidate
-		prepCount = make(map[types.Timestamp]int) // prepared version -> votes
-		prepSeen  = make(map[types.Timestamp]*types.PreparedRead)
 		genCount  = make(map[string]int) // genesis value -> votes
-		genVal    = make(map[string][]byte)
+		committed = make(map[versionKey]*committedTally)
+		prepared  = make(map[versionKey]*preparedTally)
 	)
 	deadline := time.NewTimer(c.cfg.PhaseTimeout)
 	defer deadline.Stop()
@@ -171,16 +213,13 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 			if !ok || rr.Key != key || seen[rr.ReplicaID] {
 				continue
 			}
-			// A same-index replica of a different shard signs its replies
-			// with its own (valid) key, so signature verification alone
-			// does not bind the reply to the shard we asked: check the
-			// shard id explicitly or cross-shard replies would count
-			// toward this shard's read quorum.
-			if rr.ShardID != shard {
-				continue
-			}
-			sig := rr.Sig
-			if sig.SignerID != c.cfg.SignerOf(rr.ShardID, rr.ReplicaID) || !c.sv.Verify(rr.Payload(), &sig) {
+			// Every replica of every shard shares a valid MAC key with us,
+			// so the MAC alone does not bind the reply to the shard we
+			// asked: check the shard id and the replica index explicitly.
+			// The key is that of SignerOf(shard, replica), so an index
+			// past the shard's last replica names a replica of another
+			// shard, whose reply would count as one more of this shard's.
+			if rr.ShardID != shard || rr.ReplicaID < 0 || int(rr.ReplicaID) >= c.qc.N() || !c.checkReadMAC(rr) {
 				continue
 			}
 			seen[rr.ReplicaID] = true
@@ -189,59 +228,59 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 				// Key absent at this replica: a vote for the empty
 				// genesis state (reads of never-written keys are legal
 				// and return nil).
-				if trustSingle {
+				genCount[""]++
+				if genCount[""] == valid {
 					cands = append(cands, readCandidate{})
-				} else {
-					genCount[""]++
-					if genCount[""] == c.qc.ReadValidity() {
-						cands = append(cands, readCandidate{})
-					}
 				}
 			}
-			if rr.Committed != nil {
-				cr := rr.Committed
+			if cr := rr.Committed; cr != nil {
 				switch {
 				case cr.WriterMeta == nil: // genesis version
-					if trustSingle {
+					k := string(cr.Value)
+					genCount[k]++
+					if genCount[k] == valid {
 						cands = append(cands, readCandidate{value: cr.Value})
-					} else {
-						k := string(cr.Value)
-						genCount[k]++
-						genVal[k] = cr.Value
-						if genCount[k] == c.qc.ReadValidity() {
-							cands = append(cands, readCandidate{value: cr.Value})
-						}
 					}
 				case cr.Cert != nil && cr.Version().Less(t.ts):
-					if trustSingle || t.validCommittedRead(key, cr) {
-						cands = append(cands, readCandidate{
-							version: cr.Version(), value: cr.Value, writer: cr.WriterMeta,
-						})
+					k := versionKey{cr.Version(), cr.WriterID, string(cr.Value)}
+					ct := committed[k]
+					if ct == nil {
+						ct = &committedTally{}
+						committed[k] = ct
+					}
+					ct.replies = append(ct.replies, cr)
+					if !ct.added && len(ct.replies) >= valid {
+						ct.added = true
+						cands = append(cands, readCandidate{version: k.version, value: cr.Value})
 					}
 				}
 			}
-			if rr.Prepared != nil && rr.Prepared.WriterMeta != nil && rr.Prepared.Version().Less(t.ts) {
-				pr := rr.Prepared
-				v := pr.Version()
-				prepCount[v]++
-				if prepSeen[v] == nil {
-					prepSeen[v] = pr
+			if pr := rr.Prepared; pr != nil && pr.WriterMeta != nil && pr.Version().Less(t.ts) {
+				k := versionKey{pr.Version(), pr.WriterID, string(pr.Value)}
+				pt := prepared[k]
+				if pt == nil {
+					pt = &preparedTally{}
+					prepared[k] = pt
 				}
-				valid := c.qc.ReadValidity()
-				if trustSingle {
-					valid = 1
+				pt.n++
+				if pt.writer == nil && validPreparedRead(key, pr) {
+					pt.writer = pr.WriterMeta
 				}
-				if prepCount[v] == valid {
+				if !pt.added && pt.n >= valid && pt.writer != nil {
+					pt.added = true
 					cands = append(cands, readCandidate{
-						version: v, value: pr.Value, prepared: true, writer: pr.WriterMeta,
+						version: k.version, value: pr.Value, prepared: true,
+						writer: pt.writer, writerID: k.writer,
 					})
 				}
 			}
-			if got >= need && len(cands) > 0 {
-				return t.chooseRead(key, cands), nil
+			if got >= need {
+				if cands = t.certifyNewer(key, cands, committed); len(cands) > 0 {
+					return t.chooseRead(key, cands), nil
+				}
 			}
 		case <-deadline.C:
-			if len(cands) > 0 {
+			if cands = t.certifyNewer(key, cands, committed); len(cands) > 0 {
 				return t.chooseRead(key, cands), nil
 			}
 			return nil, ErrTimeout
@@ -249,22 +288,80 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 	}
 }
 
+// checkReadMAC reports whether rr carries a valid MAC from the replica it
+// names. Under the NoProofs scheme there is no MAC to check.
+func (c *Client) checkReadMAC(rr *types.ReadReply) bool {
+	if c.keys == nil {
+		return true
+	}
+	k, ok := c.keys.MACKey(c.cfg.Registry, c.cfg.SignerOf(rr.ShardID, rr.ReplicaID))
+	return ok && cryptoutil.CheckReadMAC(&k, rr)
+}
+
+// certifyNewer adds to cands the newest uncorroborated committed version
+// that is newer than every candidate and whose certificate verifies in
+// one of its replies. Replies whose certificates were checked are not
+// checked again. It returns the extended candidate list.
+func (t *Txn) certifyNewer(key string, cands []readCandidate, committed map[versionKey]*committedTally) []readCandidate {
+	var best *types.Timestamp
+	for i := range cands {
+		if best == nil || best.Less(cands[i].version) {
+			best = &cands[i].version
+		}
+	}
+	for {
+		var (
+			next  *committedTally
+			nextK versionKey
+		)
+		for k, ct := range committed {
+			if ct.added || ct.verified == len(ct.replies) || (best != nil && !best.Less(k.version)) {
+				continue
+			}
+			if next == nil || nextK.version.Less(k.version) {
+				next, nextK = ct, k
+			}
+		}
+		if next == nil {
+			return cands
+		}
+		for next.verified < len(next.replies) {
+			cr := next.replies[next.verified]
+			next.verified++
+			if t.validCommittedRead(key, cr) {
+				next.added = true
+				return append(cands, readCandidate{version: nextK.version, value: cr.Value})
+			}
+		}
+	}
+}
+
+// validPreparedRead reports whether a prepared reply's writer metadata is
+// the writer it names and writes the value it reports: H(WriterMeta) must
+// equal WriterID and (key, Value) must be in the write set. Checked before
+// the version can become a dependency.
+func validPreparedRead(key string, pr *types.PreparedRead) bool {
+	return writesValue(pr.WriterMeta, key, pr.Value) && pr.WriterMeta.ID() == pr.WriterID
+}
+
+// writesValue reports whether meta's write set holds (key, value).
+func writesValue(meta *types.TxMeta, key string, value []byte) bool {
+	for _, w := range meta.WriteSet {
+		if w.Key == key && string(w.Value) == string(value) {
+			return true
+		}
+	}
+	return false
+}
+
 // validCommittedRead verifies a committed version's certificate and its
 // binding to (key, value): H(meta) must equal the certificate's tx id and
 // the write must appear in the writer's write set.
 func (t *Txn) validCommittedRead(key string, cr *types.CommittedRead) bool {
-	meta := cr.WriterMeta
-	found := false
-	for _, w := range meta.WriteSet {
-		if w.Key == key && string(w.Value) == string(cr.Value) {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !writesValue(cr.WriterMeta, key, cr.Value) {
 		return false
 	}
-	return t.c.qv.VerifyDecisionCert(cr.Cert, meta) == nil
+	return t.c.qv.VerifyDecisionCert(cr.Cert, cr.WriterMeta) == nil
 }
 
 // chooseRead picks the highest-timestamped valid candidate, records the
@@ -282,7 +379,7 @@ func (t *Txn) chooseRead(key string, cands []readCandidate) []byte {
 		t.readVals[key] = best.value
 	}
 	if best.prepared && best.writer != nil {
-		id := best.writer.ID()
+		id := best.writerID
 		if _, dup := t.deps[id]; !dup {
 			t.deps[id] = types.Dependency{TxID: id, Version: best.version}
 			t.depMetas[id] = best.writer

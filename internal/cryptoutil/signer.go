@@ -1,11 +1,15 @@
 // Package cryptoutil supplies Basil's cryptographic substrate: signature
 // schemes (ed25519 and a no-op scheme for the NoProofs ablation), a key
-// registry mapping replica ids to verification keys, Merkle-tree reply
-// batching with inclusion proofs (paper §4.4), and a root-signature cache
-// that amortizes verification across replies from the same batch.
+// registry mapping replica ids to verification keys and X25519 exchange
+// keys, Merkle-tree reply batching with inclusion proofs (paper §4.4), a
+// root-signature cache that amortizes verification across replies from
+// the same batch, and the pairwise HMAC-SHA256 keys that authenticate
+// read replies (mac.go) — the one reply kind no third party ever checks,
+// so it needs no transferable proof.
 //
 // Concurrency and ownership: the Registry is immutable after construction
-// and shared freely. SigVerifier and VerifyPool are internally
+// and shared freely. MACKeyCache is internally synchronized; ClientKeys
+// belongs to one client goroutine. SigVerifier and VerifyPool are internally
 // synchronized and designed for sharing (one pool may serve many clients
 // and a replica's whole ingest path; see pool.go for the queue-helping
 // rule that makes nested use from a worker deadlock-free). BatchSigner
@@ -14,6 +18,7 @@
 package cryptoutil
 
 import (
+	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
@@ -54,15 +59,20 @@ func digest(payload []byte) [32]byte { return sha256.Sum256(payload) }
 // Registry holds every node's verification key. Index i belongs to the
 // node with global key id i (replicas and clients share one id space).
 // Signing uses crypto/ed25519; verification uses each key's expanded
-// form (edverify.go), built lazily on the key's first verification.
+// form (edverify.go), built lazily on the key's first verification. Each
+// node also has an X25519 key from which replicas derive the read-reply
+// MAC keys they share with clients (mac.go).
 type Registry struct {
 	scheme Scheme
 	keys   []expandedKey
 	privs  []ed25519.PrivateKey
+	kx     []*ecdh.PrivateKey
 }
 
-// NewRegistry generates n deterministic key pairs under the given scheme.
-// Key generation is seeded so tests and benchmarks are reproducible.
+// NewRegistry generates n deterministic ed25519 key pairs under the given
+// scheme, then n X25519 keys from the same seeded stream (so the ed25519
+// keys match those of a registry without exchange keys). Key generation
+// is seeded so tests and benchmarks are reproducible.
 func NewRegistry(scheme Scheme, n int, seed int64) *Registry {
 	r := &Registry{scheme: scheme}
 	if scheme == SchemeNone {
@@ -78,7 +88,25 @@ func NewRegistry(scheme Scheme, n int, seed int64) *Registry {
 		r.privs[i] = priv
 		r.keys[i].pub = priv.Public().(ed25519.PublicKey)
 	}
+	r.kx = make([]*ecdh.PrivateKey, n)
+	for i := 0; i < n; i++ {
+		var kxSeed [32]byte
+		rng.Read(kxSeed[:])
+		k, err := ecdh.X25519().NewPrivateKey(kxSeed[:])
+		if err != nil {
+			panic("cryptoutil: X25519 key: " + err.Error())
+		}
+		r.kx[i] = k
+	}
 	return r
+}
+
+// kxPublic returns node id's X25519 public key, nil when it has none.
+func (r *Registry) kxPublic(id int32) *ecdh.PublicKey {
+	if id < 0 || int(id) >= len(r.kx) {
+		return nil
+	}
+	return r.kx[id].PublicKey()
 }
 
 // Scheme returns the registry's signature scheme.

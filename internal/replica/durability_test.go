@@ -149,7 +149,7 @@ func TestRestartReservesLoggedDecision(t *testing.T) {
 		if rep.RPKind != types.RPDecision {
 			continue // the vote reply also arrives; we want the decision
 		}
-		if rep.Decision != types.DecisionCommit || rep.ST2R == nil || rep.ST2R.Decision != types.DecisionCommit {
+		if st2r := rep.Evidence().ST2R; rep.Decision != types.DecisionCommit || st2r == nil || st2r.Decision != types.DecisionCommit {
 			t.Fatalf("restarted replica re-served decision %v", rep.Decision)
 		}
 		return

@@ -260,7 +260,7 @@ func (r *Replica) serveFinalized(to transport.Addr, reqID uint64, rec store.TxRe
 	}
 	r.send(to, &types.ST1Reply{
 		ReqID: reqID, TxID: rec.Cert.TxID, ShardID: r.cfg.Shard, ReplicaID: r.cfg.Index,
-		RPKind: types.RPCert, Cert: rec.Cert, CertMeta: rec.Meta,
+		RPKind: types.RPCert, Ev: &types.ST1Evidence{Cert: rec.Cert, CertMeta: rec.Meta},
 	})
 	return true
 }
@@ -330,7 +330,7 @@ func (r *Replica) collectBelow(wm types.Timestamp) int {
 				}
 				notify = append(notify, notice{addr: addr, reply: &types.ST1Reply{
 					ReqID: reqID, TxID: t.id, ShardID: r.cfg.Shard, ReplicaID: r.cfg.Index,
-					RPKind: types.RPCert, Cert: rec.Cert, CertMeta: rec.Meta,
+					RPKind: types.RPCert, Ev: &types.ST1Evidence{Cert: rec.Cert, CertMeta: rec.Meta},
 				}})
 			}
 		}

@@ -112,8 +112,8 @@ func TestCollectedDuplicateServedFromStore(t *testing.T) {
 	// Late duplicate: outcome re-served from the store's finalized table.
 	r.Deliver(client, &types.ST1Request{ReqID: 7, ClientID: 9, Meta: m.Meta})
 	rep := awaitReply(t, st1, id)
-	if rep.RPKind != types.RPCert || rep.Cert == nil || rep.Cert.Decision != types.DecisionCommit {
-		t.Fatalf("late duplicate got %v (cert=%v), want RPCert commit", rep.RPKind, rep.Cert)
+	if rep.RPKind != types.RPCert || rep.Evidence().Cert == nil || rep.Evidence().Cert.Decision != types.DecisionCommit {
+		t.Fatalf("late duplicate got %v (cert=%v), want RPCert commit", rep.RPKind, rep.Evidence().Cert)
 	}
 	if r.peekTx(id) != nil {
 		t.Fatal("late duplicate resurrected a txState")
@@ -121,11 +121,11 @@ func TestCollectedDuplicateServedFromStore(t *testing.T) {
 
 	// Same guard on the recovery and fallback entry points.
 	r.Deliver(client, &types.ST1Request{ReqID: 8, ClientID: 9, Meta: m.Meta, Recovery: true})
-	if rep := awaitReply(t, st1, id); rep.RPKind != types.RPCert || rep.Cert == nil {
+	if rep := awaitReply(t, st1, id); rep.RPKind != types.RPCert || rep.Evidence().Cert == nil {
 		t.Fatalf("recovery duplicate got %v, want RPCert", rep.RPKind)
 	}
 	r.Deliver(client, &types.InvokeFB{ReqID: 9, ClientID: 9, TxID: id, Meta: m.Meta})
-	if rep := awaitReply(t, st1, id); rep.RPKind != types.RPCert || rep.Cert == nil {
+	if rep := awaitReply(t, st1, id); rep.RPKind != types.RPCert || rep.Evidence().Cert == nil {
 		t.Fatalf("InvokeFB duplicate got %v, want RPCert", rep.RPKind)
 	}
 	if r.peekTx(id) != nil {
@@ -288,8 +288,8 @@ func TestDuplicateST1RacingWritebackCollected(t *testing.T) {
 		rep := await(id, dup.ReqID)
 		switch {
 		case rep.RPKind == types.RPCert:
-			if rep.Cert == nil || rep.Cert.Decision != dec {
-				t.Fatalf("round %d: certificate reply %v, want decision %v", i, rep.Cert, dec)
+			if rep.Evidence().Cert == nil || rep.Evidence().Cert.Decision != dec {
+				t.Fatalf("round %d: certificate reply %v, want decision %v", i, rep.Evidence().Cert, dec)
 			}
 		case rep.Vote != types.VoteCommit:
 			// Every honest vote here is commit: the promised one, or a
@@ -333,8 +333,8 @@ func TestDecisionRacingWritebackCollected(t *testing.T) {
 		switch m := msg.(type) {
 		case *types.ST1Reply:
 			switch {
-			case m.RPKind == types.RPCert && m.Cert != nil:
-				out <- sent{"certificate", m.TxID, m.ReqID, m.Cert.Decision}
+			case m.RPKind == types.RPCert && m.Evidence().Cert != nil:
+				out <- sent{"certificate", m.TxID, m.ReqID, m.Evidence().Cert.Decision}
 			case m.RPKind == types.RPVote:
 				out <- sent{"vote", m.TxID, m.ReqID, types.DecisionNone}
 			}

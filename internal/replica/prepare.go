@@ -294,15 +294,16 @@ func (r *Replica) sendVoteLocked(to transport.Addr, reqID uint64, t *txState) {
 		}
 	}
 	reply := &types.ST1Reply{
-		ReqID:        reqID,
-		TxID:         t.id,
-		ShardID:      r.cfg.Shard,
-		ReplicaID:    r.cfg.Index,
-		Vote:         vote,
-		Conflict:     conflict,
-		ConflictMeta: conflictMeta,
-		BlockedBy:    t.blockedBy,
-		RPKind:       types.RPVote,
+		ReqID:     reqID,
+		TxID:      t.id,
+		ShardID:   r.cfg.Shard,
+		ReplicaID: r.cfg.Index,
+		Vote:      vote,
+		RPKind:    types.RPVote,
+	}
+	// Plain votes carry no evidence and allocate none.
+	if conflict != nil || conflictMeta != nil || t.blockedBy != nil {
+		reply.Ev = &types.ST1Evidence{Conflict: conflict, ConflictMeta: conflictMeta, BlockedBy: t.blockedBy}
 	}
 	r.signThen(reply.Payload(), func(sig types.Signature) {
 		reply.Sig = sig
@@ -335,7 +336,7 @@ func (r *Replica) replyLoggedDecisionLocked(to transport.Addr, reqID uint64, t *
 	}
 	reply := &types.ST1Reply{
 		ReqID: reqID, TxID: t.id, ShardID: r.cfg.Shard, ReplicaID: r.cfg.Index,
-		RPKind: types.RPDecision, Decision: t.decision, ST2R: st2r,
+		RPKind: types.RPDecision, Decision: t.decision, Ev: &types.ST1Evidence{ST2R: st2r},
 	}
 	r.signThen(st2r.Payload(), func(sig types.Signature) {
 		st2r.Sig = sig
@@ -546,7 +547,7 @@ func (r *Replica) finalize(id types.TxID, meta *types.TxMeta, dec types.Decision
 	for addr, reqID := range interested {
 		reply := &types.ST1Reply{
 			ReqID: reqID, TxID: id, ShardID: r.cfg.Shard, ReplicaID: r.cfg.Index,
-			RPKind: types.RPCert, Cert: cert, CertMeta: meta,
+			RPKind: types.RPCert, Ev: &types.ST1Evidence{Cert: cert, CertMeta: meta},
 		}
 		r.send(addr, reply)
 	}

@@ -260,6 +260,9 @@ type Replica struct {
 	qv      *quorum.Verifier
 	store   *store.Store
 	pool    *cryptoutil.VerifyPool
+	// macKeys holds the read-reply MAC key shared with each client key
+	// seen (bounded; nil under the NoProofs scheme).
+	macKeys *cryptoutil.MACKeyCache
 	// adm is the bounded admission queue and per-client reputation table
 	// in front of the pool (admission.go).
 	adm *admission
@@ -321,6 +324,11 @@ type Replica struct {
 	frec      *trace.FlightRecorder
 }
 
+// macKeyCacheSize bounds the per-client read-reply MAC keys a replica
+// keeps (about 100 bytes each). A client beyond it costs one X25519
+// exchange per admitted read.
+const macKeyCacheSize = 4096
+
 // New constructs and registers a replica on cfg.Net. With a DataDir it
 // opens (and replays) the durability log, panicking if the directory is
 // unusable — use Restore for an error-returning restart path.
@@ -362,6 +370,7 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 		sv:         cryptoutil.NewSigVerifier(cfg.Registry, 4096),
 		store:      store.NewStriped(stripes),
 		pool:       cryptoutil.NewVerifyPool(cfg.VerifyWorkers),
+		macKeys:    cryptoutil.NewMACKeyCache(cfg.Registry, cfg.SignerID, macKeyCacheSize),
 		txs:        make(map[types.TxID]*txState),
 		live:       make(map[types.TxID]*txState),
 		depWaiters: make(map[types.TxID][]types.TxID),

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -33,8 +34,22 @@ func (s *Store) Snapshot(b []byte) []byte {
 	b = append(b, snapVersion)
 	b = s.rtsFloor.AppendCanonical(b)
 
+	// Version chains and reader lists name records by id. A record
+	// without a certificate would hash its metadata for that (recID), with
+	// every read and prepare waiting on the lock, so take the ids from the
+	// table instead.
+	ids := make(map[*TxRecord]types.TxID)
+	idOf := func(rec *TxRecord) types.TxID {
+		if id, ok := ids[rec]; ok {
+			return id
+		}
+		return recID(rec)
+	}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(s.txns)))
 	for id, rec := range s.txns {
+		if rec.Cert == nil {
+			ids[rec] = id
+		}
 		b = append(b, id[:]...)
 		b = append(b, byte(rec.Status))
 		b = snapMetaOpt(b, rec.Meta)
@@ -52,21 +67,22 @@ func (s *Store) Snapshot(b []byte) []byte {
 			b = binary.BigEndian.AppendUint32(b, uint32(len(e.writes)))
 			for i := range e.writes {
 				w := &e.writes[i]
-				b = w.ver.AppendCanonical(b)
-				id := recID(w.writer)
+				b = w.ver().AppendCanonical(b)
+				id := idOf(w.writer)
 				b = append(b, id[:]...)
-				if w.committed {
+				if w.committed() {
 					b = append(b, 1)
 				} else {
 					b = append(b, 0)
 				}
-				b = snapBytes(b, w.value)
+				b = snapBytes(b, e.valueOf(k, w))
 			}
 			b = binary.BigEndian.AppendUint32(b, uint32(len(e.readers)))
-			for _, r := range e.readers {
-				b = r.readerTs.AppendCanonical(b)
-				b = r.readVer.AppendCanonical(b)
-				id := recID(r.reader)
+			for i := range e.readers {
+				r := &e.readers[i]
+				b = r.readerTs().AppendCanonical(b)
+				b = r.readVer(k).AppendCanonical(b)
+				id := idOf(r.reader)
 				b = append(b, id[:]...)
 			}
 		}
@@ -98,7 +114,7 @@ func (s *Store) Restore(data []byte) (rest []byte, maxTs types.Timestamp, err er
 	nTx := int(d.u32())
 	for i := 0; i < nTx && d.err == nil; i++ {
 		id := d.txid()
-		rec := &TxRecord{Status: TxStatus(d.u8()), id: id}
+		rec := &TxRecord{Status: TxStatus(d.u8())}
 		rec.Meta = d.metaOpt()
 		rec.Cert = d.certOpt()
 		if d.err != nil {
@@ -116,28 +132,75 @@ func (s *Store) Restore(data []byte) (rest []byte, maxTs types.Timestamp, err er
 		e := s.stripeOf(k).entry(k)
 		nW := int(d.u32())
 		for j := 0; j < nW && d.err == nil; j++ {
-			var w writeRec
-			w.ver = d.ts()
-			w.writer = s.txns[d.txid()]
-			w.committed = d.u8() == 1
-			w.value = d.bytes()
+			ver := d.ts()
+			id := d.txid()
+			w := writeRec{writer: s.txns[id]}
+			committed := d.u8() == 1
+			value := d.bytes()
+			if d.err != nil {
+				break
+			}
+			// The version and value are derived from the writer, so the
+			// stored ones must agree with it: the zero writer id for
+			// genesis, a known record with that timestamp and a write of
+			// that value otherwise.
+			if err := checkResolved(k, "writer", id, w.writer, ver); err != nil {
+				return nil, maxTs, err
+			}
+			if w.writer == nil {
+				e.genesis = value
+			} else if v, ok := writtenValue(w.writer.Meta, k); !ok || !bytes.Equal(v, value) {
+				return nil, maxTs, fmt.Errorf("store: snapshot version %v of key %q holds a value its writer did not write", ver, k)
+			}
+			if committed != w.committed() {
+				return nil, maxTs, fmt.Errorf("store: snapshot version %v of key %q disagrees with its writer's status", ver, k)
+			}
 			e.writes = append(e.writes, w)
-			bump(w.ver)
+			bump(ver)
 		}
 		nR := int(d.u32())
 		for j := 0; j < nR && d.err == nil; j++ {
-			var r readRec
-			r.readerTs = d.ts()
-			r.readVer = d.ts()
-			r.reader = s.txns[d.txid()]
+			readerTs := d.ts()
+			readVer := d.ts()
+			id := d.txid()
+			r := readRec{reader: s.txns[id]}
+			if d.err != nil {
+				break
+			}
+			if r.reader == nil {
+				return nil, maxTs, fmt.Errorf("store: snapshot reader %x of key %q has no record", id[:8], k)
+			}
+			if err := checkResolved(k, "reader", id, r.reader, readerTs); err != nil {
+				return nil, maxTs, err
+			}
+			if r.readVer(k) != readVer {
+				return nil, maxTs, fmt.Errorf("store: snapshot reader of key %q read %v, its record says %v", k, readVer, r.readVer(k))
+			}
 			e.readers = append(e.readers, r)
-			bump(r.readerTs)
+			bump(readerTs)
 		}
 	}
 	if d.err != nil {
 		return nil, maxTs, fmt.Errorf("store: snapshot decode: %w", d.err)
 	}
 	return d.b, maxTs, nil
+}
+
+// checkResolved verifies that the record a snapshot entry of key k names
+// by id resolves, and that the timestamp the entry stored equals the one
+// the store will derive from the record.
+func checkResolved(k, role string, id types.TxID, rec *TxRecord, stored types.Timestamp) error {
+	var derived types.Timestamp
+	switch {
+	case rec != nil && rec.Meta != nil:
+		derived = rec.Meta.Timestamp
+	case rec != nil || id != (types.TxID{}):
+		return fmt.Errorf("store: snapshot %s %x of key %q has no record with metadata", role, id[:8], k)
+	}
+	if derived != stored {
+		return fmt.Errorf("store: snapshot %s of key %q stored timestamp %v, its record has %v", role, k, stored, derived)
+	}
+	return nil
 }
 
 // RestorePrepared reinstates a prepared transaction during WAL replay:
@@ -151,15 +214,14 @@ func (s *Store) RestorePrepared(meta *types.TxMeta, id types.TxID) bool {
 	if s.txns[id] != nil {
 		return false
 	}
-	rec := &TxRecord{Meta: meta, Status: StatusPrepared, id: id}
+	rec := &TxRecord{Meta: meta, Status: StatusPrepared}
 	s.txns[id] = rec
-	ts := meta.Timestamp
 	for _, w := range meta.WriteSet {
-		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{ver: ts, value: w.Value, writer: rec})
+		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{writer: rec})
 	}
 	for _, r := range meta.ReadSet {
 		e := s.stripeOf(r.Key).entry(r.Key)
-		e.readers = append(e.readers, readRec{readerTs: ts, readVer: r.Version, reader: rec})
+		e.readers = append(e.readers, readRec{reader: rec})
 	}
 	return true
 }

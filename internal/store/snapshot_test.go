@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -199,5 +200,56 @@ func TestRestorePrepared(t *testing.T) {
 	mw := meta(ts(5, 3), nil, map[string]string{"x": "conflict"})
 	if res := s.CheckAndPrepare(mw, mw.ID()); res.Outcome != CheckAbort {
 		t.Fatalf("reinstated reader not enforced: %v", res.Outcome)
+	}
+}
+
+// TestSnapshotRestoreRejectsInconsistentRecords: versions and reader
+// records take their timestamps, values, commit state and read versions
+// from the records they name, so Restore refuses an entry whose stored
+// fields disagree with that record, or whose record is missing, instead
+// of silently rewriting it.
+func TestSnapshotRestoreRejectsInconsistentRecords(t *testing.T) {
+	s := New()
+	s.ApplyGenesis("x", []byte("v0"))
+	mc := meta(ts(10, 1), nil, map[string]string{"x": "v10"})
+	mustPrepare(t, s, mc)
+	s.Finalize(mc.ID(), mc, types.DecisionCommit, nil)
+	mp := meta(ts(20, 2), map[string]types.Timestamp{"x": ts(10, 1)}, map[string]string{"y": "w20"})
+	mustPrepare(t, s, mp)
+	snap := s.Snapshot(nil)
+	if _, _, err := New().Restore(snap); err != nil {
+		t.Fatalf("consistent snapshot refused: %v", err)
+	}
+
+	idc, idp := mc.ID(), mp.ID()
+	// A version entry is (version, writer id, committed, value); a reader
+	// entry is (reader timestamp, read version, reader id).
+	writeEntry := append(append(ts(10, 1).AppendCanonical(nil), idc[:]...), 1, 0, 0, 0, 3, 'v', '1', '0')
+	readEntry := append(append(ts(20, 2).AppendCanonical(nil), ts(10, 1).AppendCanonical(nil)...), idp[:]...)
+	genesisEntry := append(make([]byte, 48), 1, 0, 0, 0, 2, 'v', '0')
+	for _, c := range []struct {
+		name  string
+		entry []byte
+		flip  int // byte of the entry to corrupt
+	}{
+		{"writer timestamp", writeEntry, 7},
+		{"writer record", writeEntry, 16},
+		{"writer value", writeEntry, 55},
+		{"writer commit state", writeEntry, 48},
+		{"genesis timestamp", genesisEntry, 7},
+		{"genesis writer", genesisEntry, 16},
+		{"reader timestamp", readEntry, 7},
+		{"reader record", readEntry, 32},
+		{"reader read version", readEntry, 23},
+	} {
+		at := bytes.Index(snap, c.entry)
+		if at < 0 || bytes.Count(snap, c.entry) != 1 {
+			t.Fatalf("%s: entry not found exactly once", c.name)
+		}
+		bad := bytes.Clone(snap)
+		bad[at+c.flip] ^= 1
+		if _, _, err := New().Restore(bad); err == nil {
+			t.Fatalf("%s: Restore accepted a snapshot whose entry disagrees with its record", c.name)
+		}
 	}
 }

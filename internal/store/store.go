@@ -51,42 +51,79 @@ const (
 	StatusAborted
 )
 
-// TxRecord is the replica's bookkeeping for one transaction.
+// TxRecord is the replica's bookkeeping for one transaction. Its id is
+// the key it is stored under, not a field (see txID): version chains and
+// reader lists point at the record, so the record is kept to 24 bytes.
 type TxRecord struct {
 	Meta   *types.TxMeta
 	Status TxStatus
 	Cert   *types.DecisionCert // set once finalized with a certificate
-
-	// id is the transaction's key in the table; version chains and
-	// reader lists point at the record instead of repeating it.
-	id types.TxID
 }
 
-// recID returns rec's transaction id, or the zero id for nil (the
-// writer of a genesis version).
+// recID returns rec's transaction id, or the zero id for nil (the writer
+// of a genesis version). A certificate names the id without hashing: the
+// replica stores one only after checking it against the metadata. A
+// record without one hashes its metadata.
 func recID(rec *TxRecord) types.TxID {
-	if rec == nil {
+	switch {
+	case rec == nil:
 		return types.TxID{}
+	case rec.Cert != nil:
+		return rec.Cert.TxID
+	default:
+		return rec.Meta.ID()
 	}
-	return rec.id
 }
 
 // writeRec is one (possibly uncommitted) version of a key. writer is the
-// writing transaction's record, nil for genesis versions.
+// writing transaction's record, nil for the genesis version. The version,
+// the value and whether it is committed are not stored: all three come
+// from the writer (see ver, keyEntry.valueOf and committed), which keeps
+// the record at one pointer.
 type writeRec struct {
-	ver       types.Timestamp
-	value     []byte
-	writer    *TxRecord
-	committed bool
+	writer *TxRecord
+}
+
+// committed reports whether the version is committed: the genesis version
+// always is, any other exactly when its writer is (Finalize flips the
+// status and the versions together under the exclusive lock; an aborted
+// writer's versions are removed).
+func (w *writeRec) committed() bool {
+	return w.writer == nil || w.writer.Status == StatusCommitted
+}
+
+// ver returns the version's timestamp: its writer's, zero for genesis.
+func (w *writeRec) ver() types.Timestamp {
+	if w.writer == nil {
+		return types.Timestamp{}
+	}
+	return w.writer.Meta.Timestamp
 }
 
 // readRec records a read performed by a prepared or committed transaction;
 // needed for Algorithm 1 line 10 (writes must not invalidate the reads of
-// already-validated transactions).
+// already-validated transactions). The reader's timestamp and the version
+// it read come from its metadata (see readerTs and readVer), not stored
+// copies.
 type readRec struct {
-	readerTs types.Timestamp
-	readVer  types.Timestamp
-	reader   *TxRecord
+	reader *TxRecord
+}
+
+// readerTs returns the reading transaction's timestamp.
+func (r *readRec) readerTs() types.Timestamp { return r.reader.Meta.Timestamp }
+
+// readVer returns the version of k the reader read: the lowest its read
+// set names for k. A read set naming k twice then fails line 10 exactly
+// when one of its entries would.
+func (r *readRec) readVer(k string) types.Timestamp {
+	var v types.Timestamp
+	found := false
+	for _, e := range r.reader.Meta.ReadSet {
+		if e.Key == k && (!found || e.Version.Less(v)) {
+			v, found = e.Version, true
+		}
+	}
+	return v
 }
 
 // rtsEntry is one outstanding read timestamp and its reference count.
@@ -98,6 +135,9 @@ type rtsEntry struct {
 type keyEntry struct {
 	// writes sorted ascending by version timestamp.
 	writes []writeRec
+	// genesis is the value of the genesis version (the one write with no
+	// writer), nil when there is none.
+	genesis []byte
 	// readers of this key from prepared/committed transactions.
 	readers []readRec
 	// rts holds the read timestamps of ongoing (not yet prepared)
@@ -106,6 +146,27 @@ type keyEntry struct {
 	// entries, so adds and drops scan it.
 	rts    []rtsEntry
 	maxRTS types.Timestamp
+}
+
+// valueOf returns the value version w of key k holds: the genesis value,
+// or the value k has in the writer's write set.
+func (e *keyEntry) valueOf(k string, w *writeRec) []byte {
+	if w.writer == nil {
+		return e.genesis
+	}
+	v, _ := writtenValue(w.writer.Meta, k)
+	return v
+}
+
+// writtenValue returns the value meta writes to k (the first, should a
+// write set name k twice); ok is false when meta does not write k.
+func writtenValue(meta *types.TxMeta, k string) (v []byte, ok bool) {
+	for i := range meta.WriteSet {
+		if meta.WriteSet[i].Key == k {
+			return meta.WriteSet[i].Value, true
+		}
+	}
+	return nil, false
 }
 
 // stripe is one lock-striped slice of the key space.
@@ -268,18 +329,18 @@ func (s *Store) ApplyGenesis(k string, value []byte) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.entry(k)
-	rec := writeRec{value: value, committed: true}
-	if len(e.writes) > 0 && e.writes[0].ver.IsZero() {
-		e.writes[0] = rec
+	e.genesis = value
+	if len(e.writes) > 0 && e.writes[0].writer == nil {
 		return
 	}
-	e.writes = append([]writeRec{rec}, e.writes...)
+	e.writes = append([]writeRec{{}}, e.writes...)
 }
 
 // insertWrite places w into e.writes keeping version order.
 func (e *keyEntry) insertWrite(w writeRec) {
 	i := len(e.writes)
-	for i > 0 && w.ver.Less(e.writes[i-1].ver) {
+	ver := w.ver()
+	for i > 0 && ver.Less(e.writes[i-1].ver()) {
 		i--
 	}
 	e.writes = append(e.writes, writeRec{})
@@ -327,15 +388,16 @@ func (s *Store) Read(k string, ts types.Timestamp) ReadResult {
 	e.addRTS(ts)
 	var res ReadResult
 	for i := len(e.writes) - 1; i >= 0; i-- {
-		w := e.writes[i]
-		if !w.ver.Less(ts) {
+		w := &e.writes[i]
+		if !w.ver().Less(ts) {
 			continue
 		}
-		if w.committed {
+		if w.committed() {
 			if res.Committed == nil {
 				rec := w.writer
-				cr := &types.CommittedRead{Value: w.value}
+				cr := &types.CommittedRead{Value: e.valueOf(k, w)}
 				if rec != nil {
+					cr.WriterID = recID(rec)
 					cr.WriterMeta = rec.Meta
 					cr.Cert = rec.Cert
 				}
@@ -347,7 +409,7 @@ func (s *Store) Read(k string, ts types.Timestamp) ReadResult {
 		}
 		if res.Prepared == nil {
 			if rec := w.writer; rec != nil && rec.Status == StatusPrepared {
-				res.Prepared = &types.PreparedRead{Value: w.value, WriterMeta: rec.Meta}
+				res.Prepared = &types.PreparedRead{Value: e.valueOf(k, w), WriterID: recID(rec), WriterMeta: rec.Meta}
 			}
 		}
 	}
@@ -479,11 +541,12 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 		// have read from other replicas (prepared-version deps are
 		// separately validated by the replica layer). Line 7 only demands
 		// that no newer-but-older-than-ts write exists here.
-		for _, w := range e.writes {
-			if r.Version.Less(w.ver) && w.ver.Less(ts) {
+		for i := range e.writes {
+			w := &e.writes[i]
+			if wv := w.ver(); r.Version.Less(wv) && wv.Less(ts) {
 				res := CheckResult{Outcome: CheckAbort}
 				if rec := w.writer; rec != nil {
-					if w.committed && rec.Cert != nil {
+					if w.committed() && rec.Cert != nil {
 						res.Conflict = rec.Cert
 						res.ConflictMeta = rec.Meta
 					} else if rec.Status == StatusPrepared {
@@ -508,8 +571,11 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 		if e == nil {
 			continue
 		}
-		for _, rd := range e.readers {
-			if rd.readVer.Less(ts) && ts.Less(rd.readerTs) {
+		for i := range e.readers {
+			rd := &e.readers[i]
+			// Timestamp first: most readers are older than the writer,
+			// and the read version costs a read-set scan.
+			if ts.Less(rd.readerTs()) && rd.readVer(w.Key).Less(ts) {
 				res := CheckResult{Outcome: CheckAbort}
 				if rec := rd.reader; rec != nil {
 					if rec.Status == StatusCommitted && rec.Cert != nil {
@@ -532,7 +598,7 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 	// before publication; the publish re-checks for a duplicate so two
 	// concurrent deliveries of a keyless transaction (no stripe to
 	// serialize on) cannot both install.
-	rec := &TxRecord{Meta: meta, Status: StatusPrepared, id: id}
+	rec := &TxRecord{Meta: meta, Status: StatusPrepared}
 	s.txMu.Lock()
 	if s.txns[id] != nil {
 		s.txMu.Unlock()
@@ -541,11 +607,11 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 	s.txns[id] = rec
 	s.txMu.Unlock()
 	for _, w := range meta.WriteSet {
-		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{ver: ts, value: w.Value, writer: rec})
+		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{writer: rec})
 	}
 	for _, r := range meta.ReadSet {
 		e := s.stripeOf(r.Key).entry(r.Key)
-		e.readers = append(e.readers, readRec{readerTs: ts, readVer: r.Version, reader: rec})
+		e.readers = append(e.readers, readRec{reader: rec})
 		// The transaction has been validated; its execution-time RTS
 		// reservation is superseded by the reader record. dropRTS also
 		// recomputes maxRTS when the last reference at ts is released, so
@@ -571,7 +637,7 @@ func (s *Store) Finalize(id types.TxID, meta *types.TxMeta, dec types.Decision, 
 	defer s.global.Unlock()
 	rec := s.txns[id]
 	if rec == nil {
-		rec = &TxRecord{Meta: meta, id: id}
+		rec = &TxRecord{Meta: meta}
 		s.txns[id] = rec
 	}
 	if rec.Meta == nil {
@@ -592,16 +658,18 @@ func (s *Store) Finalize(id types.TxID, meta *types.TxMeta, dec types.Decision, 
 		wasPrepared := false
 		if rec.Meta != nil {
 			for _, w := range rec.Meta.WriteSet {
+				// A prepared version commits with rec.Status; only a
+				// replica that missed ST1 has to install it.
 				e := s.stripeOf(w.Key).entry(w.Key)
 				found := false
 				for i := range e.writes {
 					if e.writes[i].writer == rec {
-						e.writes[i].committed = true
 						found = true
+						break
 					}
 				}
 				if !found {
-					e.insertWrite(writeRec{ver: rec.Meta.Timestamp, value: w.Value, writer: rec, committed: true})
+					e.insertWrite(writeRec{writer: rec})
 				} else {
 					wasPrepared = true
 				}
@@ -611,7 +679,7 @@ func (s *Store) Finalize(id types.TxID, meta *types.TxMeta, dec types.Decision, 
 				// are caught (line 10) even on replicas that skipped ST1.
 				for _, r := range rec.Meta.ReadSet {
 					e := s.stripeOf(r.Key).entry(r.Key)
-					e.readers = append(e.readers, readRec{readerTs: rec.Meta.Timestamp, readVer: r.Version, reader: rec})
+					e.readers = append(e.readers, readRec{reader: rec})
 				}
 			}
 		}
@@ -728,8 +796,8 @@ func (s *Store) LatestCommitted(k string) (types.Timestamp, []byte, bool) {
 		return types.Timestamp{}, nil, false
 	}
 	for i := len(e.writes) - 1; i >= 0; i-- {
-		if e.writes[i].committed {
-			return e.writes[i].ver, e.writes[i].value, true
+		if e.writes[i].committed() {
+			return e.writes[i].ver(), e.valueOf(k, &e.writes[i]), true
 		}
 	}
 	return types.Timestamp{}, nil, false
@@ -776,21 +844,25 @@ func (s *Store) GC(watermark types.Timestamp) int {
 			// Find the newest committed version ≤ watermark; keep it.
 			keepIdx := -1
 			for i := len(e.writes) - 1; i >= 0; i-- {
-				if e.writes[i].committed && !watermark.Less(e.writes[i].ver) {
+				if e.writes[i].committed() && !watermark.Less(e.writes[i].ver()) {
 					keepIdx = i
 					break
 				}
 			}
 			if keepIdx > 0 {
 				out := e.writes[:0]
+				keepVer := e.writes[keepIdx].ver()
 				for i, w := range e.writes {
-					if i < keepIdx && w.committed && w.ver.Less(e.writes[keepIdx].ver) {
+					if i < keepIdx && w.committed() && w.ver().Less(keepVer) {
 						dropped++
 						continue
 					}
 					out = append(out, w)
 				}
 				e.writes = out
+				if len(out) == 0 || out[0].writer != nil {
+					e.genesis = nil // the genesis version was collected
+				}
 			}
 			for i := range e.writes {
 				if w := e.writes[i].writer; w != nil {
@@ -799,7 +871,7 @@ func (s *Store) GC(watermark types.Timestamp) int {
 			}
 			rd := e.readers[:0]
 			for _, r := range e.readers {
-				if r.readerTs.Less(watermark) {
+				if r.readerTs().Less(watermark) {
 					dropped++
 					continue
 				}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -372,5 +373,27 @@ func TestVersionOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordSizes pins the per-transaction, per-version and per-reader
+// footprint: versions and readers derive their timestamps, values and
+// commit state from the record they point at, and the record does not
+// repeat its table key.
+func TestRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit hosts")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"TxRecord", unsafe.Sizeof(TxRecord{}), 24},
+		{"writeRec", unsafe.Sizeof(writeRec{}), 8},
+		{"readRec", unsafe.Sizeof(readRec{}), 8},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }

@@ -24,8 +24,8 @@ func (s *Store) committedVersion(key string, ver types.Timestamp) ([]byte, bool)
 		return nil, false
 	}
 	for i := range e.writes {
-		if e.writes[i].committed && e.writes[i].ver == ver {
-			return e.writes[i].value, true
+		if e.writes[i].committed() && e.writes[i].ver() == ver {
+			return e.valueOf(key, &e.writes[i]), true
 		}
 	}
 	return nil, false
@@ -61,7 +61,7 @@ func (s *Store) checkInvariants() error {
 			}
 			// Version chains sorted strictly ascending.
 			for i := 1; i < len(e.writes); i++ {
-				if !e.writes[i-1].ver.Less(e.writes[i].ver) {
+				if !e.writes[i-1].ver().Less(e.writes[i].ver()) {
 					return fmt.Errorf("key %q: version chain out of order at %d", k, i)
 				}
 			}
@@ -89,18 +89,18 @@ func (s *Store) checkInvariants() error {
 			}
 			switch rec.Status {
 			case StatusPrepared:
-				if found == nil || found.committed {
+				if found == nil || found.committed() {
 					return fmt.Errorf("tx %v prepared but write on %q missing or committed", id, w.Key)
 				}
 			case StatusCommitted:
-				if found == nil || !found.committed {
+				if found == nil || !found.committed() {
 					// GC may legitimately have collected an old committed
 					// version; only flag it if a newer committed version of
 					// the key does not exist.
 					newer := false
 					if e != nil {
 						for i := range e.writes {
-							if e.writes[i].committed && rec.Meta.Timestamp.Less(e.writes[i].ver) {
+							if e.writes[i].committed() && rec.Meta.Timestamp.Less(e.writes[i].ver()) {
 								newer = true
 							}
 						}

@@ -184,7 +184,7 @@ func TestTCPPendingBytesCapDropsFrames(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	dst := ReplicaAddr(0, 0)
 	cli, err := NewTCPOpts("", map[Addr]string{dst: "127.0.0.1:1"},
-		TCPOptions{PendingBytes: 64, Metrics: mreg})
+		TCPOptions{PendingBytes: 128, Metrics: mreg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestTCPPendingBytesCapDropsFrames(t *testing.T) {
 	defer close(release)
 
 	src := ClientAddr(1)
-	msg := &types.ReadRequest{ReqID: 1, Key: "k"} // frame ≈ 22 + ~30 bytes
+	msg := &types.ReadRequest{ReqID: 1, Key: "k"} // frame ≈ 22 + 70 bytes: one fits the budget, two do not
 	if got := cli.SendAll(src, []Addr{dst}, msg); got != 1 {
 		t.Fatalf("first send rejected: sent=%d", got)
 	}
@@ -211,7 +211,7 @@ func TestTCPPendingBytesCapDropsFrames(t *testing.T) {
 		}
 	}
 	if dropped == 0 {
-		t.Fatal("no frame shed by the 64-byte pending budget")
+		t.Fatal("no frame shed by the 128-byte pending budget")
 	}
 	if n := counterTotal(mreg, "basil_net_frames_dropped_overflow_total"); n != uint64(dropped) {
 		t.Fatalf("overflow drops = %d, want %d", n, dropped)

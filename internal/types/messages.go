@@ -6,7 +6,9 @@ package types
 // are produced by the message's Payload method (domain-separated canonical
 // encoding). Batched signatures (paper §4.4) share a Merkle root: the
 // Signature then carries the root, the root signature and the inclusion
-// proof instead of a direct signature.
+// proof instead of a direct signature. Read replies are the exception:
+// only the client that asked ever checks one, so they carry a pairwise
+// MAC instead (ReadReply.MAC).
 
 // MsgType discriminates transport envelopes.
 type MsgType uint8
@@ -67,18 +69,27 @@ type ReadRequest struct {
 	ClientID uint64
 	Key      string
 	Ts       Timestamp
+	// ClientKey is the client's X25519 public key; the replica MACs its
+	// reply under the key the two share (cryptoutil.MACKey). Zero under
+	// the NoProofs scheme.
+	ClientKey [32]byte
 	// TC is the advisory trace context (tracectx.go); unsampled contexts
 	// add no wire bytes.
 	TC TraceContext
 }
 
-// CommittedRead is a replica's committed branch of a read reply. Version
-// and value binding is verified against the writer's metadata hash and the
-// commit certificate: H(WriterMeta) must equal Cert.TxID and (Key,Value)
-// must appear in WriterMeta.WriteSet. The genesis version (zero timestamp)
-// carries no certificate and is trusted as the load-time state.
+// CommittedRead is a replica's committed branch of a read reply. A client
+// accepts it when f+1 replicas report the same (version, WriterID, Value);
+// otherwise it verifies the version against the commit certificate:
+// H(WriterMeta) must equal Cert.TxID and (Key,Value) must appear in
+// WriterMeta.WriteSet. The genesis version (zero timestamp) carries no
+// writer and no certificate and is trusted as the load-time state.
 type CommittedRead struct {
-	Value      []byte
+	Value []byte
+	// WriterID is the writer's transaction id as the replica's store
+	// holds it (zero for genesis). It is MACed with the reply, so replies
+	// that agree on it agree on the writer.
+	WriterID   TxID
 	WriterMeta *TxMeta       // nil for the genesis version
 	Cert       *DecisionCert // nil for the genesis version
 }
@@ -93,17 +104,31 @@ func (c *CommittedRead) Version() Timestamp {
 
 // PreparedRead is a replica's prepared branch of a read reply: a visible but
 // uncommitted write. Clients accept it only when f+1 replicas return the
-// same version (paper §4.1 step 3). The full writer metadata is included so
-// that a dependent client can later finish the writer via the fallback.
+// same (version, WriterID, Value) (paper §4.1 step 3), and record the
+// dependency only after checking H(WriterMeta) = WriterID. The full writer
+// metadata is included so that a dependent client can later finish the
+// writer via the fallback.
 type PreparedRead struct {
 	Value      []byte
+	WriterID   TxID
 	WriterMeta *TxMeta
 }
 
-// Version returns the prepared version's timestamp.
-func (p *PreparedRead) Version() Timestamp { return p.WriterMeta.Timestamp }
+// Version returns the prepared version's timestamp, zero when the reply
+// carries no writer metadata (a malformed reply, which clients ignore).
+func (p *PreparedRead) Version() Timestamp {
+	if p.WriterMeta == nil {
+		return Timestamp{}
+	}
+	return p.WriterMeta.Timestamp
+}
 
-// ReadReply answers a ReadRequest (paper §4.1 step 2).
+// ReadReply answers a ReadRequest (paper §4.1 step 2). It is
+// authenticated by an HMAC-SHA256 under the key the replica shares with
+// the requesting client, not by a signature: no certificate embeds a read
+// reply and replicas validate dependencies from their own stores, so the
+// proof never needs to convince a third party. MAC is zero under the
+// NoProofs scheme.
 type ReadReply struct {
 	ReqID     uint64
 	Key       string
@@ -111,14 +136,14 @@ type ReadReply struct {
 	ReplicaID int32 // index within the shard
 	Committed *CommittedRead
 	Prepared  *PreparedRead
-	Sig       Signature
+	MAC       [32]byte
 }
 
-// Payload returns the signed bytes of the read reply. The payload covers
-// the versions and value digests, not the certificates (certificates are
-// self-authenticating).
-func (r *ReadReply) Payload() []byte {
-	b := make([]byte, 0, 128)
+// AppendPayload appends the MACed bytes of the read reply to b. The
+// payload covers the versions, writer ids and values, not the
+// certificates or writer metadata (the client checks those against the
+// writer id itself).
+func (r *ReadReply) AppendPayload(b []byte) []byte {
 	b = append(b, domRead...)
 	b = appendU64(b, r.ReqID)
 	b = appendString(b, r.Key)
@@ -127,6 +152,7 @@ func (r *ReadReply) Payload() []byte {
 	if r.Committed != nil {
 		b = append(b, 1)
 		b = r.Committed.Version().AppendCanonical(b)
+		b = append(b, r.Committed.WriterID[:]...)
 		b = appendBytes(b, r.Committed.Value)
 	} else {
 		b = append(b, 0)
@@ -134,6 +160,7 @@ func (r *ReadReply) Payload() []byte {
 	if r.Prepared != nil {
 		b = append(b, 1)
 		b = r.Prepared.Version().AppendCanonical(b)
+		b = append(b, r.Prepared.WriterID[:]...)
 		b = appendBytes(b, r.Prepared.Value)
 	} else {
 		b = append(b, 0)
@@ -174,15 +201,31 @@ const (
 )
 
 // ST1Reply is a replica's signed concurrency-control vote (paper §4.2
-// step 3). When the vote is Abort because of a conflict with a committed
-// transaction, Conflict carries that transaction's commit certificate and
-// ConflictMeta its metadata (abort fast path case 5).
+// step 3). Everything beyond the vote itself — conflict evidence and
+// recovery state — sits behind Ev, so the plain votes that certificates
+// hold by the thousand stay small (104 bytes). RPKind and Decision stay
+// inline: every vote sets RPKind, and moving it would allocate Ev for all
+// of them.
 type ST1Reply struct {
-	ReqID        uint64
-	TxID         TxID
-	ShardID      int32
-	ReplicaID    int32
-	Vote         Vote
+	ReqID     uint64
+	TxID      TxID
+	ShardID   int32
+	ReplicaID int32
+	Vote      Vote
+	// Recovery fast-forward state (populated only on RP replies).
+	RPKind   RPKind
+	Decision Decision // with RPDecision: the logged decision
+	// Ev is the optional evidence; nil on a plain vote. Read it through
+	// Evidence.
+	Ev  *ST1Evidence
+	Sig Signature
+}
+
+// ST1Evidence is the optional part of an ST1Reply. When the vote is Abort
+// because of a conflict with a committed transaction, Conflict carries
+// that transaction's commit certificate and ConflictMeta its metadata
+// (abort fast path case 5).
+type ST1Evidence struct {
 	Conflict     *DecisionCert
 	ConflictMeta *TxMeta
 	// BlockedBy carries the metadata of the prepared-but-undecided
@@ -190,14 +233,25 @@ type ST1Reply struct {
 	// finish it via the fallback (§5 invariant). Advisory: it is not part
 	// of the signed payload and is never required for safety.
 	BlockedBy *TxMeta
-	// Recovery fast-forward state (populated only on RP replies).
-	RPKind   RPKind
-	Decision Decision  // with RPDecision: the logged decision
-	ST2R     *ST2Reply // with RPDecision: the signed logged decision
-	Cert     *DecisionCert
-	CertMeta *TxMeta
-	Sig      Signature
+	ST2R      *ST2Reply // with RPDecision: the signed logged decision
+	Cert      *DecisionCert
+	CertMeta  *TxMeta
 }
+
+// noEvidence is what Evidence returns for a plain vote.
+var noEvidence ST1Evidence
+
+// Evidence returns r's optional evidence, or an all-nil value when r is a
+// plain vote. The result is read-only.
+func (r *ST1Reply) Evidence() *ST1Evidence {
+	if r.Ev == nil {
+		return &noEvidence
+	}
+	return r.Ev
+}
+
+// isZero reports whether e carries no evidence at all.
+func (e *ST1Evidence) isZero() bool { return *e == noEvidence }
 
 // Payload returns the signed bytes of the vote: domain, tx id, shard and
 // replica, and the vote itself.

@@ -45,6 +45,7 @@ func AppendMessage(b []byte, msg any) ([]byte, error) {
 		b = appendU64(b, m.ClientID)
 		b = appendString(b, m.Key)
 		b = m.Ts.AppendCanonical(b)
+		b = append(b, m.ClientKey[:]...)
 		b = appendTraceTrailer(b, m.TC)
 	case *ReadReply:
 		b = append(b, byte(MsgReadReply))
@@ -54,7 +55,7 @@ func AppendMessage(b []byte, msg any) ([]byte, error) {
 		b = appendU32(b, uint32(m.ReplicaID))
 		b = appendCommittedRead(b, m.Committed)
 		b = appendPreparedRead(b, m.Prepared)
-		b = appendSignature(b, &m.Sig)
+		b = append(b, m.MAC[:]...)
 	case *AbortRead:
 		b = append(b, byte(MsgAbortRead))
 		b = appendU64(b, m.ClientID)
@@ -152,6 +153,7 @@ func DecodeMessage(b []byte) (any, []byte, error) {
 	switch tag {
 	case MsgRead:
 		m := &ReadRequest{ReqID: d.u64(), ClientID: d.u64(), Key: d.str(), Ts: d.ts()}
+		m.ClientKey = d.hash32()
 		m.TC = d.traceTrailer()
 		msg = m
 	case MsgReadReply:
@@ -159,7 +161,7 @@ func DecodeMessage(b []byte) (any, []byte, error) {
 			ShardID: int32(d.u32()), ReplicaID: int32(d.u32())}
 		m.Committed = d.committedRead()
 		m.Prepared = d.preparedRead()
-		m.Sig = d.signature()
+		m.MAC = d.hash32()
 		msg = m
 	case MsgAbortRead:
 		m := &AbortRead{ClientID: d.u64(), Ts: d.ts()}
@@ -295,6 +297,7 @@ func appendCommittedRead(b []byte, c *CommittedRead) []byte {
 	}
 	b = append(b, 1)
 	b = appendBytes(b, c.Value)
+	b = append(b, c.WriterID[:]...)
 	b = appendTxMetaOpt(b, c.WriterMeta)
 	return appendDecisionCertOpt(b, c.Cert)
 }
@@ -305,6 +308,7 @@ func appendPreparedRead(b []byte, p *PreparedRead) []byte {
 	}
 	b = append(b, 1)
 	b = appendBytes(b, p.Value)
+	b = append(b, p.WriterID[:]...)
 	return appendTxMetaOpt(b, p.WriterMeta)
 }
 
@@ -314,17 +318,18 @@ func appendST1Reply(b []byte, r *ST1Reply) []byte {
 	b = appendU32(b, uint32(r.ShardID))
 	b = appendU32(b, uint32(r.ReplicaID))
 	b = append(b, byte(r.Vote))
-	b = appendDecisionCertOpt(b, r.Conflict)
-	b = appendTxMetaOpt(b, r.ConflictMeta)
-	b = appendTxMetaOpt(b, r.BlockedBy)
+	ev := r.Evidence()
+	b = appendDecisionCertOpt(b, ev.Conflict)
+	b = appendTxMetaOpt(b, ev.ConflictMeta)
+	b = appendTxMetaOpt(b, ev.BlockedBy)
 	b = append(b, byte(r.RPKind), byte(r.Decision))
-	if r.ST2R == nil {
+	if ev.ST2R == nil {
 		b = append(b, 0)
 	} else {
-		b = appendST2Reply(append(b, 1), r.ST2R)
+		b = appendST2Reply(append(b, 1), ev.ST2R)
 	}
-	b = appendDecisionCertOpt(b, r.Cert)
-	b = appendTxMetaOpt(b, r.CertMeta)
+	b = appendDecisionCertOpt(b, ev.Cert)
+	b = appendTxMetaOpt(b, ev.CertMeta)
 	return appendSignature(b, &r.Sig)
 }
 
@@ -456,7 +461,7 @@ func (d *decoder) committedRead() *CommittedRead {
 	if d.u8() == 0 || d.err != nil {
 		return nil
 	}
-	c := &CommittedRead{Value: d.bytes()}
+	c := &CommittedRead{Value: d.bytes(), WriterID: d.txid()}
 	c.WriterMeta = d.txMetaOpt()
 	c.Cert = d.decisionCertOpt(0)
 	return c
@@ -466,22 +471,26 @@ func (d *decoder) preparedRead() *PreparedRead {
 	if d.u8() == 0 || d.err != nil {
 		return nil
 	}
-	return &PreparedRead{Value: d.bytes(), WriterMeta: d.txMetaOpt()}
+	return &PreparedRead{Value: d.bytes(), WriterID: d.txid(), WriterMeta: d.txMetaOpt()}
 }
 
 func (d *decoder) st1Reply(depth int) *ST1Reply {
 	r := &ST1Reply{ReqID: d.u64(), TxID: d.txid(),
 		ShardID: int32(d.u32()), ReplicaID: int32(d.u32()), Vote: Vote(d.u8())}
-	r.Conflict = d.decisionCertOpt(depth)
-	r.ConflictMeta = d.txMetaOpt()
-	r.BlockedBy = d.txMetaOpt()
+	var ev ST1Evidence
+	ev.Conflict = d.decisionCertOpt(depth)
+	ev.ConflictMeta = d.txMetaOpt()
+	ev.BlockedBy = d.txMetaOpt()
 	r.RPKind = RPKind(d.u8())
 	r.Decision = Decision(d.u8())
 	if d.u8() != 0 && d.err == nil {
-		r.ST2R = d.st2Reply()
+		ev.ST2R = d.st2Reply()
 	}
-	r.Cert = d.decisionCertOpt(depth)
-	r.CertMeta = d.txMetaOpt()
+	ev.Cert = d.decisionCertOpt(depth)
+	ev.CertMeta = d.txMetaOpt()
+	if !ev.isZero() {
+		r.Ev = &ev
+	}
 	r.Sig = d.signature()
 	return r
 }

@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // wireRand builds pseudo-random but deterministic protocol values so the
@@ -64,7 +66,7 @@ func (w *wireRand) st1Reply() ST1Reply {
 	return ST1Reply{
 		ReqID: w.r.Uint64(), TxID: w.txid(),
 		ShardID: int32(w.r.Intn(8)), ReplicaID: int32(w.r.Intn(6)),
-		Vote: VoteCommit, BlockedBy: w.meta(), Sig: w.sig(true),
+		Vote: VoteCommit, Ev: &ST1Evidence{BlockedBy: w.meta()}, Sig: w.sig(true),
 	}
 }
 
@@ -102,22 +104,22 @@ func (w *wireRand) tally() VoteTally {
 func wireMessages(seed int64) []any {
 	w := newWireRand(seed)
 	st1r := w.st1Reply()
-	st1r.Conflict = w.cert()
-	st1r.ConflictMeta = w.meta()
+	st1r.Ev.Conflict = w.cert()
+	st1r.Ev.ConflictMeta = w.meta()
 	st1r.RPKind = RPDecision
 	st1r.Decision = DecisionCommit
 	st2r := w.st2Reply()
-	st1r.ST2R = &st2r
-	st1r.Cert = w.cert()
-	st1r.CertMeta = w.meta()
+	st1r.Ev.ST2R = &st2r
+	st1r.Ev.Cert = w.cert()
+	st1r.Ev.CertMeta = w.meta()
 	return []any{
 		&ReadRequest{ReqID: w.r.Uint64(), ClientID: w.r.Uint64(), Key: "balance", Ts: w.ts(),
-			TC: TraceContext{TraceID: w.r.Uint64(), Sampled: true}},
+			ClientKey: w.hash(), TC: TraceContext{TraceID: w.r.Uint64(), Sampled: true}},
 		&ReadReply{
 			ReqID: w.r.Uint64(), Key: "balance", ShardID: 2, ReplicaID: 4,
-			Committed: &CommittedRead{Value: w.bytes(64), WriterMeta: w.meta(), Cert: w.cert()},
-			Prepared:  &PreparedRead{Value: w.bytes(64), WriterMeta: w.meta()},
-			Sig:       w.sig(true),
+			Committed: &CommittedRead{Value: w.bytes(64), WriterID: w.txid(), WriterMeta: w.meta(), Cert: w.cert()},
+			Prepared:  &PreparedRead{Value: w.bytes(64), WriterID: w.txid(), WriterMeta: w.meta()},
+			MAC:       w.hash(),
 		},
 		&AbortRead{ClientID: w.r.Uint64(), Ts: w.ts(), Keys: []string{"a", "b", "c"}},
 		&ST1Request{ReqID: w.r.Uint64(), ClientID: w.r.Uint64(), Meta: w.meta(), Recovery: true,
@@ -255,9 +257,9 @@ func TestWireDecodeDepthBounded(t *testing.T) {
 	for i := 0; i < maxWireDepth+2; i++ {
 		inner = ST1Reply{
 			Vote: VoteAbort,
-			Conflict: &DecisionCert{Decision: DecisionAbort, Shards: []ShardCert{
+			Ev: &ST1Evidence{Conflict: &DecisionCert{Decision: DecisionAbort, Shards: []ShardCert{
 				{Kind: CertConflict, Vote: VoteAbort, ST1Rs: []ST1Reply{inner}},
-			}},
+			}}},
 		}
 	}
 	enc, err := EncodeMessage(&inner)
@@ -444,4 +446,148 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pinMeta, pinVote and pinCert build the fixed values the ST1Reply byte
+// pins encode.
+func pinMeta(n byte) *TxMeta {
+	return &TxMeta{Timestamp: Timestamp{Time: uint64(n), ClientID: 2},
+		ReadSet:  []ReadEntry{{Key: "r", Version: Timestamp{Time: 1, ClientID: 1}}},
+		WriteSet: []WriteEntry{{Key: "k", Value: []byte{n}}}, Shards: []int32{0}}
+}
+
+func pinVote() ST1Reply {
+	return ST1Reply{ReqID: 7, TxID: TxID{1, 2, 3}, ShardID: 1, ReplicaID: 4, Vote: VoteCommit,
+		Sig: Signature{SignerID: 10, Direct: []byte{0xAA, 0xBB}}}
+}
+
+func pinCert() *DecisionCert {
+	return &DecisionCert{TxID: TxID{9}, Decision: DecisionCommit,
+		Shards: []ShardCert{{ShardID: 1, Kind: CertST1Fast, Vote: VoteCommit, ST1Rs: []ST1Reply{pinVote()}}}}
+}
+
+// TestWireST1ReplyBytesPinned pins ST1Reply encodings to the bytes the
+// encoder produced before the optional fields moved behind Ev: the
+// in-memory layout must not change the wire. Each decodes back to a
+// reply that re-encodes identically, with Ev nil exactly for the plain
+// vote.
+func TestWireST1ReplyBytesPinned(t *testing.T) {
+	vote := pinVote()
+	conflict := pinVote()
+	conflict.Vote = VoteAbort
+	conflict.Ev = &ST1Evidence{Conflict: pinCert(), ConflictMeta: pinMeta(5), BlockedBy: pinMeta(6)}
+	rpCert := pinVote()
+	rpCert.RPKind = RPCert
+	rpCert.Ev = &ST1Evidence{Cert: pinCert(), CertMeta: pinMeta(8)}
+	rpDec := pinVote()
+	rpDec.RPKind = RPDecision
+	rpDec.Decision = DecisionAbort
+	rpDec.Ev = &ST1Evidence{ST2R: &ST2Reply{ReqID: 3, TxID: TxID{1, 2, 3}, ShardID: 1, ReplicaID: 4,
+		Decision: DecisionAbort, ViewDecision: 1, ViewCurrent: 2,
+		Sig: Signature{SignerID: 10, Batch: &BatchProof{Root: [32]byte{4}, RootSig: []byte{7}, Proof: [][32]byte{{5}}, Index: 1}}}}
+	cases := []struct {
+		name string
+		r    ST1Reply
+		want string
+	}{
+		{"plain vote", vote,
+			"040000000000000007010203000000000000000000000000000000000000000000000000000000000000000001000000" +
+				"040100000000000000000000000a00000002aabb00000000000000000000000000000000000000000000000000000000" +
+				"00000000000000000000000000000000"},
+		{"conflict abort", conflict,
+			"040000000000000007010203000000000000000000000000000000000000000000000000000000000000000001000000" +
+				"040201090000000000000000000000000000000000000000000000000000000000000001000000010000000101010000" +
+				"000100000000000000070102030000000000000000000000000000000000000000000000000000000000000000010000" +
+				"00040100000000000000000000000a00000002aabb000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000001000000000000000500000000000000020000000100000001" +
+				"720000000000000001000000000000000100000001000000016b00000001050000000000000001000000000100000000" +
+				"0000000600000000000000020000000100000001720000000000000001000000000000000100000001000000016b0000" +
+				"00010600000000000000010000000000000000000000000a00000002aabb000000000000000000000000000000000000" +
+				"0000000000000000000000000000000000000000000000000000"},
+		{"rp certificate", rpCert,
+			"040000000000000007010203000000000000000000000000000000000000000000000000000000000000000001000000" +
+				"040100000003000001090000000000000000000000000000000000000000000000000000000000000001000000010000" +
+				"000101010000000100000000000000070102030000000000000000000000000000000000000000000000000000000000" +
+				"00000001000000040100000000000000000000000a00000002aabb000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000001000000000000000800000000000000020000" +
+				"000100000001720000000000000001000000000000000100000001000000016b00000001080000000000000001000000" +
+				"000000000a00000002aabb00000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"00000000000000"},
+		{"rp decision", rpDec,
+			"040000000000000007010203000000000000000000000000000000000000000000000000000000000000000001000000" +
+				"040100000002020100000000000000030102030000000000000000000000000000000000000000000000000000000000" +
+				"000000010000000402000000000000000100000000000000020000000a00000000040000000000000000000000000000" +
+				"000000000000000000000000000000000000000001070000000105000000000000000000000000000000000000000000" +
+				"000000000000000000000000000100000000000a00000002aabb00000000000000000000000000000000000000000000" +
+				"00000000000000000000000000000000000000000000"},
+	}
+	for _, c := range cases {
+		enc, err := EncodeMessage(&c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(enc); got != c.want {
+			t.Fatalf("%s encodes to\n%s\nwant\n%s", c.name, got, c.want)
+		}
+		dec, rest, err := DecodeMessage(enc)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s: decode: %v (%d bytes left)", c.name, err, len(rest))
+		}
+		r := dec.(*ST1Reply)
+		if (r.Ev == nil) != (c.r.Ev == nil) {
+			t.Fatalf("%s: decoded Ev %v, want %v", c.name, r.Ev, c.r.Ev)
+		}
+		if re, _ := EncodeMessage(r); !bytes.Equal(re, enc) {
+			t.Fatalf("%s: decoded reply re-encodes differently", c.name)
+		}
+	}
+}
+
+// TestWireReadBytesPinned pins the read messages' encodings: a
+// ReadRequest ends with the client's 32-byte exchange key, and a
+// ReadReply carries each branch's writer id after its value and a
+// 32-byte MAC where a signature used to be.
+func TestWireReadBytesPinned(t *testing.T) {
+	zeros := func(n int) string { return strings.Repeat("00", n) }
+	req := &ReadRequest{ReqID: 1, ClientID: 2, Key: "k", Ts: Timestamp{Time: 3, ClientID: 4}, ClientKey: [32]byte{0xC1, 0xC2}}
+	rep := &ReadReply{ReqID: 5, Key: "k", ShardID: 1, ReplicaID: 2,
+		Committed: &CommittedRead{Value: []byte{0x76}, WriterID: TxID{0xD1}},
+		Prepared:  &PreparedRead{Value: []byte{0x77}, WriterID: TxID{0xD2}, WriterMeta: &TxMeta{Timestamp: Timestamp{Time: 6, ClientID: 7}}},
+		MAC:       [32]byte{0xE1, 0xE2}}
+	cases := []struct {
+		msg  any
+		want string
+	}{
+		{req, "01" + "0000000000000001" + "0000000000000002" + "000000016b" +
+			"0000000000000003" + "0000000000000004" + "c1c2" + zeros(30)},
+		{rep, "02" + "0000000000000005" + "000000016b" + "00000001" + "00000002" +
+			"01" + "0000000176" + "d1" + zeros(31) + "00" + "00" + // committed: value, writer id, no meta, no cert
+			"01" + "0000000177" + "d2" + zeros(31) + // prepared: value, writer id
+			"01" + "0000000000000006" + "0000000000000007" + zeros(16) + // writer meta
+			"e1e2" + zeros(30)},
+	}
+	for _, c := range cases {
+		enc, err := EncodeMessage(c.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(enc); got != c.want {
+			t.Fatalf("%T encodes to\n%s\nwant\n%s", c.msg, got, c.want)
+		}
+		dec, rest, err := DecodeMessage(enc)
+		if err != nil || len(rest) != 0 || !reflect.DeepEqual(dec, c.msg) {
+			t.Fatalf("%T decodes to %+v (err %v, %d bytes left), want %+v", c.msg, dec, err, len(rest), c.msg)
+		}
+	}
+}
+
+// TestST1ReplySize pins the in-memory size of a vote, which certificates
+// hold by the thousand: the optional evidence lives behind one pointer.
+func TestST1ReplySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(ST1Reply{}); got != 104 {
+		t.Fatalf("ST1Reply is %d bytes, want 104", got)
+	}
 }
