@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test test-race test-purego race bench scenarios doc-check linkcheck invariant-check
+.PHONY: check lint fmt vet build test test-race test-purego test-perfbench race bench scenarios doc-check linkcheck invariant-check
 
-check: fmt vet build doc-check linkcheck invariant-check test test-race test-purego
+check: fmt vet build doc-check linkcheck invariant-check test test-race test-purego test-perfbench
 
 # All static gates without the test suites — the fast pre-commit loop.
 lint: vet doc-check linkcheck invariant-check
@@ -70,6 +70,12 @@ test-race:
 # other architectures run is tested here, along with the verifier on it.
 test-purego:
 	$(GO) test -tags purego ./internal/edwards25519/... ./internal/cryptoutil/
+
+# perfbench/ is its own module, so `go build ./...` above never compiles
+# it; vet and test it in place, so that renaming anything it imports
+# from this module fails here rather than in the benchmark.
+test-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The transport and codec tests are required to pass under the race
 # detector (per-connection writer goroutines, reverse-route eviction).

@@ -61,8 +61,6 @@ type Options struct {
 	// BatchSize is the reply-signature batch size b (paper §4.4, Fig 6b).
 	// Default 1 (no batching).
 	BatchSize int
-	// BatchDelay bounds how long a partial batch may wait. Default 500µs.
-	BatchDelay time.Duration
 	// VerifyWorkers sizes each replica's ingest worker pool (and the pool
 	// clients share for certificate verification): signature checks and
 	// message handling run concurrently on it. 0 defaults to GOMAXPROCS;
@@ -157,9 +155,6 @@ func (o *Options) withDefaults() {
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 1
-	}
-	if o.BatchDelay <= 0 {
-		o.BatchDelay = 500 * time.Microsecond
 	}
 	if o.DeltaMicros == 0 {
 		o.DeltaMicros = 60_000_000
@@ -266,8 +261,8 @@ func NewCluster(opts Options) *Cluster {
 func (c *Cluster) replicaConfig(s, i int32, nodeNet transport.Network) replica.Config {
 	cfg := replica.Config{
 		Shard: s, Index: i, F: c.opts.F,
-		DeltaMicros: c.opts.DeltaMicros,
-		BatchSize:   c.opts.BatchSize, BatchDelay: c.opts.BatchDelay,
+		DeltaMicros:   c.opts.DeltaMicros,
+		BatchSize:     c.opts.BatchSize,
 		VerifyWorkers: c.opts.VerifyWorkers, Stripes: c.opts.StoreStripes,
 		Clock: c.opts.Clock, Registry: c.registry,
 		SignerID: c.signerOf(s, i), SignerOf: c.signerOf,

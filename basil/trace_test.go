@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ type tracesDoc struct {
 	Traces []struct {
 		TraceID string    `json:"trace_id"`
 		Status  string    `json:"status"`
-		Forced  string    `json:"forced"`
+		Forced  []string  `json:"forced"`
 		DurUs   int64     `json:"dur_us"`
 		Root    traceSpan `json:"root"`
 	} `json:"traces"`
@@ -136,8 +137,8 @@ func TestTraceRecoveryForcedCaptureE2E(t *testing.T) {
 		t.Fatalf("want exactly the forced trace in /traces, got %d", len(after.Traces))
 	}
 	tr := after.Traces[0]
-	if tr.Forced != "recovery" {
-		t.Fatalf("forced reason = %q, want \"recovery\"", tr.Forced)
+	if !slices.Contains(tr.Forced, "recovery") {
+		t.Fatalf("forced reasons = %q, want \"recovery\" among them", tr.Forced)
 	}
 	if tr.Status != "commit" {
 		t.Fatalf("trace status = %q, want \"commit\"", tr.Status)
@@ -263,7 +264,7 @@ func TestTraceOverloadForcedCaptureE2E(t *testing.T) {
 		t.Fatalf("/traces JSON: %v", err)
 	}
 	for _, tr := range doc.Traces {
-		if tr.Forced == "overload" {
+		if slices.Contains(tr.Forced, "overload") {
 			return
 		}
 	}

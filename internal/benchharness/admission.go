@@ -1,16 +1,12 @@
 package benchharness
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/basil"
 	"repro/internal/client"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -32,182 +28,22 @@ import (
 // the measurement window (production cadences would score the same
 // spammer, just on a 30–60s horizon).
 
-// AdmissionRunConfig parameterizes one overload run.
-type AdmissionRunConfig struct {
-	Clients  int // honest closed-loop clients
-	Spammers int // Byzantine line-rate stall-early clients
-	// SpamGen is the spammers' transaction body (default: gen). A
-	// write-only generator keeps the spammer at true line rate — reads
-	// are synchronous round trips, and a spammer that waits on its own
-	// abandoned prepared writes throttles itself.
-	SpamGen workload.Generator
-	// SpamRate caps each spammer's ST1 broadcasts per second (0 =
-	// unpaced). The harness shares one process (and possibly one core)
-	// with the replicas it attacks, so an unpaced loop measures CPU
-	// contention between attacker and victim rather than intake
-	// behavior; a paced spammer models a remote sender saturating the
-	// wire while the replicas keep their own cycles.
-	SpamRate int
-	Warmup   time.Duration
-	Measure  time.Duration
-	Seed     int64
-}
+// BlindWrites is the spammers' transaction body: one blind write over a
+// private spam:N key range of Keys keys, no reads. Disjoint keys keep the
+// attack a pure intake flood — honest transactions never read the
+// spammer's abandoned prepared writes, so any honest degradation is
+// queueing, not dependency poisoning.
+type BlindWrites struct{ Keys uint64 }
 
-// AdmissionResult extends Result with intake accounting.
-type AdmissionResult struct {
-	Result
-	SpamAttempts    uint64 // ST1 broadcasts the spammers fired (measure window)
-	Shed            uint64 // replica admission refusals, all causes
-	ShedReputation  uint64 // refusals of suspects below the hard cap
-	HonestOverloads uint64 // Overloaded replies honest clients consumed
-}
+// Name implements workload.Generator.
+func (g BlindWrites) Name() string { return "blind-write-spam" }
 
-// RunAdmission drives gen with honest clients plus line-rate spammers and
-// reports honest-client throughput/latency with shed accounting.
-func RunAdmission(cl *basil.Cluster, gen workload.Generator, cfg AdmissionRunConfig) AdmissionResult {
-	if cfg.Measure <= 0 {
-		cfg.Measure = time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 7
-	}
-	var (
-		measuring atomic.Bool
-		stop      atomic.Bool
-		commits   atomic.Uint64
-		attempts  atomic.Uint64
-		spam      atomic.Uint64
-	)
-	lat := &metrics.Histogram{}
+// Populate implements workload.Generator: the spam range starts empty.
+func (g BlindWrites) Populate(func(key string, val []byte)) {}
 
-	var wg sync.WaitGroup
-	honest := make([]*basil.Client, cfg.Clients)
-	for i := range honest {
-		honest[i] = cl.NewClient()
-	}
-	for i, c := range honest {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		wg.Add(1)
-		go func(c *basil.Client) {
-			defer wg.Done()
-			for !stop.Load() {
-				fn := gen.Next(rng)
-				start := time.Now()
-				for !stop.Load() {
-					tx := c.Begin()
-					if measuring.Load() {
-						attempts.Add(1)
-					}
-					err := fn.Body(txAdapter{tx})
-					if err == nil {
-						err = tx.Commit()
-					} else {
-						tx.Abort()
-					}
-					if err == nil {
-						if measuring.Load() {
-							commits.Add(1)
-							lat.Since(start)
-						}
-						break
-					}
-					if errors.Is(err, workload.ErrWorkloadAbort) {
-						break
-					}
-					// No harness backoff: the client's own Overloaded-driven
-					// pacing is part of what this experiment measures.
-				}
-			}
-		}(c)
-	}
-	spamGen := cfg.SpamGen
-	if spamGen == nil {
-		spamGen = gen
-	}
-	for i := 0; i < cfg.Spammers; i++ {
-		c := cl.NewClient()
-		rng := rand.New(rand.NewSource(cfg.Seed + 900_001 + int64(i)*104729))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			inner := c.Inner()
-			// Pacing: fire bursts of burst transactions every tick so the
-			// millisecond-granular sleep still reaches SpamRate.
-			const tick = 2 * time.Millisecond
-			burst := 1 << 30
-			if cfg.SpamRate > 0 {
-				burst = cfg.SpamRate * int(tick) / int(time.Second)
-				if burst < 1 {
-					burst = 1
-				}
-			}
-			for !stop.Load() {
-				for b := 0; b < burst && !stop.Load(); b++ {
-					fn := spamGen.Next(rng)
-					tx := inner.Begin()
-					if fn.Body(clientTxAdapter{tx}) != nil {
-						tx.Abort()
-						continue
-					}
-					inner.CommitFaulty(tx, client.FaultStallEarly)
-					if measuring.Load() {
-						spam.Add(1)
-					}
-				}
-				if cfg.SpamRate > 0 {
-					time.Sleep(tick)
-				}
-			}
-		}()
-	}
-
-	time.Sleep(cfg.Warmup)
-	measuring.Store(true)
-	t0 := time.Now()
-	time.Sleep(cfg.Measure)
-	measuring.Store(false)
-	elapsed := time.Since(t0).Seconds()
-	stop.Store(true)
-	wg.Wait()
-
-	res := AdmissionResult{}
-	res.System = "Basil"
-	res.Workload = gen.Name()
-	res.Clients = cfg.Clients + cfg.Spammers
-	res.Commits = commits.Load()
-	res.Attempts = attempts.Load()
-	res.MeasureSecs = elapsed
-	res.Throughput = float64(res.Commits) / elapsed
-	if res.Attempts > 0 {
-		res.CommitRate = float64(res.Commits) / float64(res.Attempts)
-	}
-	res.MeanLatMs, res.P50LatMs, res.P90LatMs, res.P99LatMs, res.P999LatMs = latencyStats(lat.SnapshotHist())
-	res.SpamAttempts = spam.Load()
-	for s := 0; s < cl.Shards(); s++ {
-		for i := 0; i < cl.ReplicaCount(); i++ {
-			r := cl.Replica(s, i)
-			res.Shed += r.Stats.Shed.Load()
-			res.ShedReputation += r.Stats.ShedReputation.Load()
-		}
-	}
-	for _, c := range honest {
-		res.HonestOverloads += c.Stats().Overloads.Load()
-	}
-	return res
-}
-
-// blindWriteSpam is the spammers' transaction body: blind writes over a
-// private spam:N key range, no reads. Disjoint keys keep the attack a pure
-// intake flood — honest transactions never read the spammer's abandoned
-// prepared writes, so any honest degradation is queueing, not dependency
-// poisoning.
-type blindWriteSpam struct{ keys uint64 }
-
-func (g blindWriteSpam) Name() string                          { return "blind-write-spam" }
-func (g blindWriteSpam) Populate(func(key string, val []byte)) {}
-
-func (g blindWriteSpam) Next(rng *rand.Rand) workload.TxnFunc {
-	key := fmt.Sprintf("spam:%d", rng.Uint64()%g.keys)
+// Next implements workload.Generator.
+func (g BlindWrites) Next(rng *rand.Rand) workload.TxnFunc {
+	key := fmt.Sprintf("spam:%d", rng.Uint64()%g.Keys)
 	val := make([]byte, 8)
 	rng.Read(val)
 	return workload.TxnFunc{Name: "spam", Body: func(tx workload.Tx) error {
@@ -242,9 +78,9 @@ func AdmissionScenarios() []AdmissionScenario {
 // 500ms and abandoned spam transactions feed the reputation scorer inside
 // the run; honest attempts re-Begin with a fresh timestamp per retry and
 // stay far above the watermark.
-func RunAdmissionScenario(s Scale, gen workload.Generator, sc AdmissionScenario) AdmissionResult {
+func RunAdmissionScenario(s Scale, gen workload.Generator, sc AdmissionScenario) Result {
 	sys := NewBasil(gen, basil.Options{
-		F: 1, Shards: 1, BatchSize: 16,
+		F: 1, Shards: 1, BatchSize: BatchSize,
 		VerifyWorkers:   2,
 		DispatchQueue:   sc.DispatchQueue,
 		PhaseTimeout:    50 * time.Millisecond,
@@ -252,16 +88,21 @@ func RunAdmissionScenario(s Scale, gen workload.Generator, sc AdmissionScenario)
 		CheckpointEvery: 100 * time.Millisecond,
 	})
 	defer sys.Close()
-	return RunAdmission(sys.C, gen, AdmissionRunConfig{
-		Clients: s.Clients, Spammers: sc.Spammers,
-		SpamGen: blindWriteSpam{keys: 512},
-		// ~4k ST1 broadcasts/s (24k replica-frames/s on a 6-replica
-		// shard) is several times this scale's honest message load:
-		// enough to pin the dispatch queue and collapse the unbounded
-		// baseline, while the pacing keeps the in-process attacker from
-		// simply out-spinning its victims for CPU.
-		SpamRate: 4000,
-		Warmup:   s.Warmup, Measure: s.Measure,
+	return Run(sys, gen, RunConfig{
+		Clients: s.Clients, Warmup: s.Warmup, Measure: s.Measure,
+		// No harness backoff: the client's own Overloaded-driven pacing
+		// is part of what this experiment measures.
+		NoBackoff: true,
+		Byz: Byzantine{
+			Clients: sc.Spammers, Mode: client.FaultStallEarly, Fraction: 1,
+			// ~4k ST1 broadcasts/s (24k replica-frames/s on a 6-replica
+			// shard) is several times this scale's honest message load:
+			// enough to pin the dispatch queue and collapse the unbounded
+			// baseline, while the pacing keeps the in-process attacker
+			// from simply out-spinning its victims for CPU.
+			Rate: 4000,
+			Gen:  BlindWrites{Keys: 512},
+		},
 	})
 }
 
@@ -279,7 +120,7 @@ func FigAdmission(s Scale) Table {
 		t.Rows = append(t.Rows, []string{
 			sc.Label, f1(r.Throughput), f2(r.P99LatMs),
 			fmt.Sprint(r.Shed), fmt.Sprint(r.ShedReputation),
-			fmt.Sprint(r.HonestOverloads), f1(float64(r.SpamAttempts) / r.MeasureSecs),
+			fmt.Sprint(r.Overloads), f1(float64(r.FaultyTxs) / r.MeasureSecs),
 		})
 	}
 	return t

@@ -1,9 +1,7 @@
 package benchharness
 
 import (
-	"encoding/json"
 	"flag"
-	"os"
 	"testing"
 	"time"
 
@@ -64,8 +62,8 @@ func TestWriteAdmissionBench(t *testing.T) {
 			HonestCommits:   r.Commits,
 			Shed:            r.Shed,
 			ShedReputation:  r.ShedReputation,
-			HonestOverloads: r.HonestOverloads,
-			SpamST1PerSec:   float64(r.SpamAttempts) / r.MeasureSecs,
+			HonestOverloads: r.Overloads,
+			SpamST1PerSec:   float64(r.FaultyTxs) / r.MeasureSecs,
 		}
 		if sc.Spammers == 0 {
 			baseline = r.Throughput
@@ -79,11 +77,7 @@ func TestWriteAdmissionBench(t *testing.T) {
 			row.Shed, row.ShedReputation, row.HonestOverloads, row.SpamST1PerSec)
 	}
 
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*admissionBenchOut, append(out, '\n'), 0o644); err != nil {
+	if err := WriteRecord(*admissionBenchOut, "admission", rows); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -162,7 +162,7 @@ func Fig4(s Scale) (Table, Table) {
 		Header: []string{"workload", "TAPIR", "Basil", "TxHotstuff", "TxBFT-SMaRt"}}
 	clientCounts := []int{s.Clients, s.Clients * 3}
 	for _, gen := range s.workloadsFor44() {
-		batch := 16
+		batch := BatchSize
 		if gen.Name() == "tpcc" {
 			batch = 4 // the paper's contended-workload batch size
 		}
@@ -202,7 +202,7 @@ func Fig5a(s Scale) Table {
 	t := Table{Title: "Fig 5a: impact of signatures (tx/s)",
 		Header: []string{"workload", "Basil", "Basil-NoProofs", "speedup"}}
 	for _, gen := range []workload.Generator{s.ycsbRWU(), s.ycsbRWZ()} {
-		with := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16})
+		with := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize})
 		r1 := Run(with, gen, s.runCfg())
 		with.Close()
 		without := NewBasil(gen, basil.Options{F: 1, Shards: 1, NoSignatures: true})
@@ -229,7 +229,7 @@ func Fig5b(s Scale) Table {
 		wait  int
 	}{{"one read", 1}, {"f+1 reads", f + 1}, {"2f+1 reads", 2*f + 1}} {
 		for _, mult := range []int{1, 2, 4} {
-			sys := NewBasil(gen, basil.Options{F: f, Shards: 1, BatchSize: 16, ReadWait: q.wait})
+			sys := NewBasil(gen, basil.Options{F: f, Shards: 1, BatchSize: BatchSize, ReadWait: q.wait})
 			cfg := s.runCfg()
 			cfg.Clients = s.Clients * mult / 2
 			if cfg.Clients < 1 {
@@ -250,7 +250,7 @@ func Fig5c(s Scale) Table {
 		Header: []string{"shards", "Basil", "Basil-NoProofs"}}
 	gen := workload.NewYCSB(workload.YCSBConfig{Keys: s.YCSBKeys, ReadOps: 3, WriteOps: 3})
 	for shards := 1; shards <= 3; shards++ {
-		with := NewBasil(gen, basil.Options{F: 1, Shards: shards, BatchSize: 16})
+		with := NewBasil(gen, basil.Options{F: 1, Shards: shards, BatchSize: BatchSize})
 		r1 := Run(with, gen, s.runCfg())
 		with.Close()
 		without := NewBasil(gen, basil.Options{F: 1, Shards: shards, NoSignatures: true})
@@ -267,10 +267,10 @@ func Fig6a(s Scale) Table {
 	t := Table{Title: "Fig 6a: fast path impact (tx/s)",
 		Header: []string{"workload", "Basil-NoFP", "Basil", "gain"}}
 	for _, gen := range []workload.Generator{s.ycsbRWU(), s.ycsbRWZ()} {
-		nofp := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16, DisableFastPath: true})
+		nofp := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize, DisableFastPath: true})
 		r1 := Run(nofp, gen, s.runCfg())
 		nofp.Close()
-		fp := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16})
+		fp := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize})
 		r2 := Run(fp, gen, s.runCfg())
 		fp.Close()
 		gain := 0.0
@@ -322,11 +322,9 @@ func Fig7(s Scale, zipf bool) Table {
 		{"equiv-forced", client.FaultEquivForced},
 		{"equiv-real", client.FaultEquivReal},
 	}
-	correct := s.Clients
-	byz := s.Clients / 2
 	for _, m := range modes {
 		for _, rate := range s.FaultRates {
-			opts := basil.Options{F: 1, Shards: 1, BatchSize: 16,
+			opts := basil.Options{F: 1, Shards: 1, BatchSize: BatchSize,
 				// Aggressive recovery timeout: correct clients notice
 				// stalls quickly (paper §6.4: "correct clients quickly
 				// notice stalled transactions and aggressively finish
@@ -334,18 +332,14 @@ func Fig7(s Scale, zipf bool) Table {
 				PhaseTimeout:        50 * time.Millisecond,
 				AllowUnvalidatedST2: m.mode == client.FaultEquivForced}
 			sys := NewBasil(gen, opts)
-			byzN := byz
-			if rate == 0 {
-				byzN = 0
+			cfg := s.runCfg()
+			if rate > 0 {
+				cfg.Byz = Byzantine{Clients: s.Clients / 2, Mode: m.mode, Fraction: rate}
 			}
-			r := RunWithByzClients(sys.C, gen, FailureRunConfig{
-				CorrectClients: correct, ByzClients: byzN,
-				FaultFraction: rate, Mode: m.mode,
-				Warmup: s.Warmup, Measure: s.Measure,
-			})
+			r := Run(sys, gen, cfg)
 			sys.Close()
 			t.Rows = append(t.Rows, []string{
-				m.label, f2(rate), f2(r.FaultShare), f2(r.PerCorrectCli), fmt.Sprint(r.EquivocationsOK),
+				m.label, f2(rate), f2(r.FaultShare), f2(r.Throughput / float64(r.Clients)), fmt.Sprint(r.EquivocationsOK),
 			})
 		}
 	}
@@ -404,7 +398,7 @@ func FigWire(s Scale) Table {
 		Header: []string{"transport", "tput (tx/s)", "mean lat (ms)", "p99 lat (ms)"}}
 	gen := workload.NewYCSB(workload.YCSBConfig{Keys: s.YCSBKeys, ReadOps: 2, WriteOps: 2})
 	cfg := s.runCfg()
-	opts := basil.Options{F: 1, Shards: 1, BatchSize: 16}
+	opts := basil.Options{F: 1, Shards: 1, BatchSize: BatchSize}
 
 	local := NewBasil(gen, opts)
 	r := Run(local, gen, cfg)
@@ -530,7 +524,7 @@ func FigParallel(s Scale) Table {
 				label = "global-lock"
 			}
 			sys := NewBasil(gen, basil.Options{
-				F: 1, Shards: 1, BatchSize: 16,
+				F: 1, Shards: 1, BatchSize: BatchSize,
 				VerifyWorkers: workers, StoreStripes: stripes,
 			})
 			r := Run(sys, gen, cfg)
@@ -584,7 +578,7 @@ func FigDurability(s Scale) Table {
 	// interleaving, not parallelism, is what fills the flush window.
 	gen := s.ycsbRWU()
 	cfg := s.runCfg()
-	mem := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16, VerifyWorkers: 8})
+	mem := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize, VerifyWorkers: 8})
 	r := Run(mem, gen, cfg)
 	mem.Close()
 	t.Rows = append(t.Rows, []string{"cluster in-memory", "-", f1(r.Throughput), "0"})
@@ -593,7 +587,7 @@ func FigDurability(s Scale) Table {
 		panic(fmt.Sprintf("benchharness: walcluster tmpdir: %v", err))
 	}
 	defer os.RemoveAll(dir)
-	dur := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16, VerifyWorkers: 8,
+	dur := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize, VerifyWorkers: 8,
 		DataDir: dir, WALFlushDelay: 200 * time.Microsecond})
 	r2 := Run(dur, gen, cfg)
 	var appends, syncs uint64
@@ -630,7 +624,7 @@ func FigCheckpoint(s Scale) Table {
 		panic(fmt.Sprintf("benchharness: ckptcluster tmpdir: %v", err))
 	}
 	defer os.RemoveAll(dir)
-	b := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16, VerifyWorkers: 8,
+	b := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize, VerifyWorkers: 8,
 		DataDir: dir, WALFlushDelay: 200 * time.Microsecond})
 	defer b.Close()
 	Run(b, gen, s.runCfg())
@@ -697,7 +691,7 @@ func CommitRates(s Scale) Table {
 	t := Table{Title: "§6.1 commit & fast-path rates (Basil)",
 		Header: []string{"workload", "commit-rate", "fastpath-share"}}
 	for _, gen := range s.workloadsFor44() {
-		sys := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16})
+		sys := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize})
 		r := Run(sys, gen, s.runCfg())
 		share := sys.FastPathShare()
 		sys.Close()

@@ -102,10 +102,9 @@ func TestRunWithStallLateByzClients(t *testing.T) {
 	gen := workload.NewYCSB(workload.YCSBConfig{Keys: 200, ReadOps: 2, WriteOps: 2, Theta: 0.9})
 	sys := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 4})
 	defer sys.Close()
-	r := RunWithByzClients(sys.C, gen, FailureRunConfig{
-		CorrectClients: 3, ByzClients: 2, FaultFraction: 0.5,
-		Mode:   client.FaultStallLate,
-		Warmup: 50 * time.Millisecond, Measure: 400 * time.Millisecond,
+	r := Run(sys, gen, RunConfig{
+		Clients: 3, Warmup: 50 * time.Millisecond, Measure: 400 * time.Millisecond,
+		Byz: Byzantine{Clients: 2, Mode: client.FaultStallLate, Fraction: 0.5},
 	})
 	if r.Commits == 0 {
 		t.Fatalf("correct clients starved entirely: %+v", r)
@@ -123,11 +122,10 @@ func TestRunWithEquivForced(t *testing.T) {
 	for attempt := 1; attempt <= 3; attempt++ {
 		sys := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 4,
 			PhaseTimeout: 25 * time.Millisecond, AllowUnvalidatedST2: true})
-		r := RunWithByzClients(sys.C, gen, FailureRunConfig{
-			CorrectClients: 3, ByzClients: 1, FaultFraction: 0.5,
-			Mode:    client.FaultEquivForced,
-			Warmup:  100 * time.Millisecond,
+		r := Run(sys, gen, RunConfig{
+			Clients: 3, Warmup: 100 * time.Millisecond,
 			Measure: time.Duration(attempt) * time.Second,
+			Byz:     Byzantine{Clients: 1, Mode: client.FaultEquivForced, Fraction: 0.5},
 		})
 		sys.Close()
 		if r.Commits > 0 {

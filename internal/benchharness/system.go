@@ -1,9 +1,13 @@
-// Package benchharness drives the paper's evaluation (§6): it runs
-// closed-loop clients over any system under test (Basil, TAPIR,
-// TxHotstuff, TxBFT-SMaRt), measures throughput and latency the way the
-// paper does (latency from first invocation to commit, aborted
-// transactions retried with exponential backoff), and defines one
-// experiment per figure/table.
+// Package benchharness drives the paper's evaluation (§6). Its one load
+// driver (Run) runs closed- or open-arrival sessions, optionally beside
+// Byzantine clients, over any system under test (Basil, TAPIR,
+// TxHotstuff, TxBFT-SMaRt), and measures throughput and latency the way
+// the paper does (latency from first invocation to commit, aborted
+// transactions retried with exponential backoff). On top of it sits one
+// experiment per figure/table, and internal/scenario's chaos matrix.
+//
+// Ownership: a run's session, dispatcher and Byzantine goroutines are
+// all joined before Run returns.
 package benchharness
 
 import (

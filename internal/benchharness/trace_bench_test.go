@@ -1,9 +1,7 @@
 package benchharness
 
 import (
-	"encoding/json"
 	"flag"
-	"os"
 	"testing"
 )
 
@@ -51,11 +49,7 @@ func TestWriteTraceBench(t *testing.T) {
 		t.Errorf("unsampled Start/End allocates (%.2f allocs/op); the disabled path must be alloc-free", o.StartAllocsPerOp)
 	}
 
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*traceBenchOut, append(out, '\n'), 0o644); err != nil {
+	if err := WriteRecord(*traceBenchOut, "trace", doc); err != nil {
 		t.Fatal(err)
 	}
 }

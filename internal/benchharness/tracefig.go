@@ -50,7 +50,7 @@ type TraceStageRow struct {
 func TraceStages(s Scale) []TraceStageRow {
 	gen := s.ycsbRWU()
 	sys := NewBasilTCP(gen, basil.Options{
-		F: 1, Shards: 1, BatchSize: 16,
+		F: 1, Shards: 1, BatchSize: BatchSize,
 		Tracing:     true,
 		TraceSample: 1,
 		TraceRing:   1 << 15,

@@ -1,16 +1,17 @@
-package core_test
+package client
 
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/quorum"
+	"repro/internal/replica"
 	"repro/internal/transport"
 )
 
-// TestManualWiring builds a shard directly through package core — the
-// same seam cmd/basil-server uses — and commits a transaction.
+// TestManualWiring builds a shard by hand from replica.New and New — the
+// construction cmd/basil-server and cmd/basil-kv do over TCP — and
+// commits a transaction through it.
 func TestManualWiring(t *testing.T) {
 	const f = 1
 	n := 5*f + 1
@@ -19,9 +20,9 @@ func TestManualWiring(t *testing.T) {
 	reg := cryptoutil.NewRegistry(cryptoutil.SchemeEd25519, n, 1)
 	signerOf := quorum.SignerOf(func(s, i int32) int32 { return i })
 
-	var reps []*core.Replica
+	var reps []*replica.Replica
 	for i := 0; i < n; i++ {
-		r := core.NewReplica(core.ReplicaConfig{
+		r := replica.New(replica.Config{
 			Shard: 0, Index: int32(i), F: f,
 			DeltaMicros: 60_000_000,
 			Registry:    reg, SignerID: int32(i), SignerOf: signerOf,
@@ -36,7 +37,7 @@ func TestManualWiring(t *testing.T) {
 		}
 	}()
 
-	c := core.NewClient(core.ClientConfig{
+	c := New(Config{
 		ID: 1, F: f, NumShards: 1,
 		ShardOf:  func(string) int32 { return 0 },
 		Registry: reg, SignerOf: signerOf, Net: net,

@@ -35,6 +35,13 @@ import (
 //     has room, since a Byzantine client ignores hints by definition.
 //     Honest hot clients are untouched below the hard cap because
 //     volume alone never raises a score.
+//   - Writebacks are exempt from the queue (types.NeverShed says why). An
+//     exempt message takes no slot (inflight and the cap count only
+//     queued traffic; the pool's own task buffer still bounds
+//     writebacks). Suspects stay on their token bucket, and a writeback
+//     whose certificate fails to verify is charged to its sender
+//     (noteBadCert), so garbage certificates remain a bounded spam
+//     vector.
 //
 // Locking: admit/release are lock-free (atomics). The client-score table
 // is guarded by mu and is bounded by maxTrackedClients; scores themselves
@@ -79,6 +86,7 @@ type clientScore struct {
 	commits    atomic.Uint64 // finalized writebacks: good behavior
 	aborts     atomic.Uint64 // abort votes on this client's transactions
 	abandons   atomic.Uint64 // prepared transactions never finished (GC found them)
+	badCerts   atomic.Uint64 // writebacks whose certificate failed to verify
 	recoveries atomic.Uint64 // recovery prepares other clients ran on its transactions
 	stales     atomic.Uint64 // below-watermark traffic dropped by the lifecycle guard
 
@@ -112,10 +120,12 @@ func (s *clientScore) takeSuspectToken(nowMicros uint64) bool {
 }
 
 // bad is the weighted misbehavior mass: abandoning a prepared transaction
-// (forcing every dependent into recovery) is the worst signal, recovery
-// traffic it caused next, plain aborts and stale replays the mildest.
+// (forcing every dependent into recovery) and sending a writeback with a
+// certificate that does not verify (which no correct client ever does)
+// are the worst signals, recovery traffic it caused next, plain aborts
+// and stale replays the mildest.
 func (s *clientScore) bad() uint64 {
-	return 4*s.abandons.Load() + 2*s.recoveries.Load() + s.aborts.Load() + s.stales.Load()
+	return 4*(s.abandons.Load()+s.badCerts.Load()) + 2*s.recoveries.Load() + s.aborts.Load() + s.stales.Load()
 }
 
 // suspect reports whether this client should be deprioritized under
@@ -132,7 +142,7 @@ func (s *clientScore) suspect() bool {
 // decay halves every counter. Racy halvings are acceptable: the score is
 // a heuristic, and losing an increment moves it by one part in thousands.
 func (s *clientScore) decay() {
-	for _, c := range []*atomic.Uint64{&s.requests, &s.commits, &s.aborts, &s.abandons, &s.recoveries, &s.stales} {
+	for _, c := range []*atomic.Uint64{&s.requests, &s.commits, &s.aborts, &s.abandons, &s.badCerts, &s.recoveries, &s.stales} {
 		c.Store(c.Load() / 2)
 	}
 }
@@ -222,8 +232,9 @@ func (a *admission) peekScore(id uint64) *clientScore {
 }
 
 // admit decides whether msg enters the dispatch queue. On admission the
-// caller owes exactly one release. On refusal the message is shed: counted,
-// and answered with an Overloaded reply when the sender is waiting on one.
+// caller owes exactly one release unless types.NeverShed(msg). On refusal the
+// message is shed: counted, and answered with an Overloaded reply when
+// the sender is waiting on one.
 func (a *admission) admit(from transport.Addr, msg any) bool {
 	if a.cap <= 0 {
 		return true // admission disabled: unlimited seed behavior
@@ -232,6 +243,16 @@ func (a *admission) admit(from transport.Addr, msg any) bool {
 	if cid, ok := clientIDOf(msg); ok {
 		sc = a.score(cid)
 		sc.requests.Add(1)
+	}
+	if types.NeverShed(msg) {
+		// Only a suspect's token bucket can refuse an exempt message.
+		if sc != nil && sc.suspect() && !sc.takeSuspectToken(a.r.cfg.Clock.NowMicros()) {
+			a.r.Stats.Shed.Add(1)
+			a.r.Stats.ShedReputation.Add(1)
+			a.r.frec.Note("shed", "low-reputation client's writeback rate-limited")
+			return false
+		}
+		return true
 	}
 	depth, ok := a.reserve()
 	switch {
@@ -332,6 +353,15 @@ func (a *admission) noteRecovery(ownerClientID uint64) {
 func (a *admission) noteStale(clientID uint64) {
 	if s := a.peekScore(clientID); s != nil {
 		s.stales.Add(1)
+	}
+}
+
+// noteBadCert charges a client whose writeback carried a certificate that
+// failed verification: the price of the writeback's exemption from the
+// dispatch queue.
+func (a *admission) noteBadCert(clientID uint64) {
+	if s := a.peekScore(clientID); s != nil {
+		s.badCerts.Add(1)
 	}
 }
 

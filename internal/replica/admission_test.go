@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/quorum"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -267,5 +268,91 @@ func TestReputationFedByProtocolOutcomes(t *testing.T) {
 	sc := r.adm.peekScore(9)
 	if sc == nil || sc.aborts.Load() == 0 {
 		t.Fatal("abort vote did not feed the owner's reputation score")
+	}
+}
+
+// TestAdmissionFullQueueStillAppliesWriteback: a writeback arriving at a
+// dispatch queue already full to its cap is still admitted and applied.
+// A writeback carries no request id, so a shed one would get no
+// Overloaded reply, the client would never resend it, and the commit
+// would be lost on this replica.
+func TestAdmissionFullQueueStillAppliesWriteback(t *testing.T) {
+	r, net := newQueuedReplica(t, 4)
+	defer net.Close()
+	defer r.Close()
+	spammer := transport.ClientAddr(7)
+	for i := 0; i < 4; i++ {
+		if !r.adm.admit(spammer, &types.ST1Request{ReqID: uint64(i + 1), ClientID: 7}) {
+			t.Fatalf("filler %d shed below the cap", i)
+		}
+	}
+	if r.adm.admit(spammer, &types.ST1Request{ReqID: 5, ClientID: 7}) {
+		t.Fatal("queue not full: an ST1 beyond the cap was admitted")
+	}
+
+	wb := fastCommitWriteback(r, "k", 10)
+	r.Deliver(transport.ClientAddr(9), wb)
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Stats.Writebacks.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("writeback never applied at a full queue (shed=%d)", r.Stats.Shed.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := r.Stats.Shed.Load(); got != 1 {
+		t.Fatalf("Shed = %d, want 1 (only the over-cap ST1)", got)
+	}
+	if rec, ok := r.store.FinalizedOutcome(wb.TxID); !ok || rec.Status != store.StatusCommitted {
+		t.Fatalf("store has no committed outcome after the writeback (%+v, %v)", rec, ok)
+	}
+	for i := 0; i < 4; i++ {
+		r.adm.release()
+	}
+}
+
+// TestWritebackBadCertChargesSender: writebacks are exempt from the queue
+// cap, so a certificate that fails verification is charged to its sender
+// until the sender is a suspect, and a suspect's writebacks are then held
+// to its token bucket.
+func TestWritebackBadCertChargesSender(t *testing.T) {
+	r, net := newQueuedReplica(t, 4)
+	defer net.Close()
+	defer r.Close()
+	sender := transport.ClientAddr(9)
+	sc := r.adm.score(9)
+
+	good := fastCommitWriteback(r, "k", 10)
+	forged := *good
+	cert := *good.Cert
+	cert.Shards = append([]types.ShardCert(nil), good.Cert.Shards...)
+	cert.Shards[0].ST1Rs = cert.Shards[0].ST1Rs[:1] // one vote is no quorum
+	forged.Cert = &cert
+
+	r.onWriteback(sender, &forged)
+	if got := sc.badCerts.Load(); got != 1 {
+		t.Fatalf("badCerts = %d after a forged certificate, want 1", got)
+	}
+	r.onWriteback(sender, &forged)
+	if !sc.suspect() {
+		t.Fatalf("two forged certificates did not make the sender a suspect (bad=%d)", sc.bad())
+	}
+	if r.Stats.Writebacks.Load() != 0 {
+		t.Fatal("a forged certificate was applied")
+	}
+
+	admitted := 0
+	for i := 0; i < 4*suspectBurst; i++ {
+		if r.adm.admit(sender, &forged) {
+			admitted++
+		}
+	}
+	if admitted >= 4*suspectBurst {
+		t.Fatal("a suspect's writebacks were never rate-limited")
+	}
+	if got := r.Stats.ShedReputation.Load(); got == 0 {
+		t.Fatal("suspect writeback refusals not counted as reputation sheds")
+	}
+	if d := r.adm.depth(); d != 0 {
+		t.Fatalf("exempt writebacks took %d dispatch slots", d)
 	}
 }

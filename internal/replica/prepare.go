@@ -454,10 +454,9 @@ func (r *Replica) replyLoggedDecisionST2Locked(to transport.Addr, reqID uint64, 
 // recovery clients. The certificate is validated before any state exists
 // for the transaction.
 func (r *Replica) onWriteback(_ transport.Addr, m *types.WritebackRequest) {
-	if m.Meta == nil || m.Cert == nil || m.Meta.ID() != m.TxID || m.Cert.TxID != m.TxID {
-		return
-	}
-	if m.Decision != m.Cert.Decision {
+	if m.Meta == nil || m.Cert == nil || m.Meta.ID() != m.TxID || m.Cert.TxID != m.TxID ||
+		m.Decision != m.Cert.Decision {
+		r.adm.noteBadCert(m.ClientID)
 		return
 	}
 	// Resurrection guard: a writeback below the watermark for GC-truncated
@@ -478,6 +477,7 @@ func (r *Replica) onWriteback(_ transport.Addr, m *types.WritebackRequest) {
 	err := r.qv.VerifyDecisionCert(m.Cert, m.Meta)
 	r.tracer.End(m.TC, r.traceNode, "replica.verify", 0, vfStart)
 	if err != nil {
+		r.adm.noteBadCert(m.ClientID)
 		return
 	}
 	r.Stats.Writebacks.Add(1)

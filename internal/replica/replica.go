@@ -57,10 +57,10 @@ type Config struct {
 	// beyond local-clock+δ are refused (paper §4.1 Begin).
 	DeltaMicros uint64
 
-	// BatchSize and BatchDelay configure reply-signature batching
-	// (paper §4.4). BatchSize 1 disables batching.
-	BatchSize  int
-	BatchDelay time.Duration
+	// BatchSize configures reply-signature batching (paper §4.4); a
+	// partial batch waits at most BatchDelay. BatchSize 1 disables
+	// batching.
+	BatchSize int
 
 	// DataDir, if non-empty, makes the replica durable: stage-1 votes and
 	// logged ST2 decisions reach a write-ahead log in this directory
@@ -329,6 +329,10 @@ type Replica struct {
 // exchange per admitted read.
 const macKeyCacheSize = 4096
 
+// BatchDelay bounds how long a partial reply-signature batch waits for
+// more replies before it is signed.
+const BatchDelay = 500 * time.Microsecond
+
 // New constructs and registers a replica on cfg.Net. With a DataDir it
 // opens (and replays) the durability log, panicking if the directory is
 // unusable — use Restore for an error-returning restart path.
@@ -351,9 +355,6 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 	cfg.DataDir = dir
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 1
-	}
-	if cfg.BatchDelay <= 0 {
-		cfg.BatchDelay = 500 * time.Microsecond
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
@@ -382,7 +383,7 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 	r.traceNode = fmt.Sprintf("r%d.%d", cfg.Shard, cfg.Index)
 	r.frec = trace.NewFlightRecorder(r.traceNode, 0)
 	r.adm = newAdmission(r, cfg.DispatchQueue)
-	r.batcher = cryptoutil.NewBatchSigner(r.signer, cfg.BatchSize, cfg.BatchDelay)
+	r.batcher = cryptoutil.NewBatchSigner(r.signer, cfg.BatchSize, BatchDelay)
 	r.qv = &quorum.Verifier{Cfg: r.qc, Sigs: r.sv, SignerOf: cfg.SignerOf, Pool: r.pool}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -470,6 +471,7 @@ func (r *Replica) Deliver(from transport.Addr, msg any) {
 	if !r.adm.admit(from, msg) {
 		return
 	}
+	slot := !types.NeverShed(msg)
 	// Dispatch-queue wait: from admission to a pool worker picking the
 	// message up. enq stays 0 — no clock read — unless the message
 	// carries a sampled trace context.
@@ -480,10 +482,12 @@ func (r *Replica) Deliver(from transport.Addr, msg any) {
 		enq = r.tracer.Start(tc)
 	}
 	if !r.pool.Go(func() {
-		defer r.adm.release()
+		if slot {
+			defer r.adm.release()
+		}
 		r.tracer.End(tc, r.traceNode, "replica.dispatch_wait", 0, enq)
 		r.dispatch(from, msg)
-	}) {
+	}) && slot {
 		r.adm.release() // pool closed under us; the slot must not leak
 	}
 }

@@ -1,6 +1,11 @@
 package scenario
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/benchharness"
+	"repro/internal/client"
+)
 
 // Matrix is the named production-scenario suite. Rates are calibrated
 // for the repo's reference single-core host (closed-loop saturation is
@@ -14,9 +19,9 @@ func Matrix() []Scenario {
 			Name: "baseline",
 			Desc: "steady open-loop load, no chaos: the SLO floor every storm is judged against",
 			Keys: 512, ReadOps: 1, WriteOps: 1, EquivReplica: -1,
-			Load: LoadConfig{
-				Phases:   []LoadPhase{{Dur: 8 * time.Second, StartRate: 60, EndRate: 60}},
-				Sessions: 8, MaxPending: 128,
+			Load: benchharness.RunConfig{
+				Phases:  []benchharness.Phase{{Dur: 8 * time.Second, StartRate: 60, EndRate: 60}},
+				Clients: 8, MaxPending: 128,
 			},
 			SLO: SLO{CalmP99Ms: 400, MinCommits: 300, MaxDropFrac: 0.01},
 		},
@@ -24,13 +29,13 @@ func Matrix() []Scenario {
 			Name: "ramp-to-overload",
 			Desc: "arrival rate ramps to ~3x capacity; overload must surface as explicit backpressure, not silent collapse",
 			Keys: 512, ReadOps: 1, WriteOps: 1, EquivReplica: -1,
-			Load: LoadConfig{
-				Phases: []LoadPhase{
+			Load: benchharness.RunConfig{
+				Phases: []benchharness.Phase{
 					{Dur: 2 * time.Second, StartRate: 50, EndRate: 50},
 					{Dur: 3 * time.Second, StartRate: 50, EndRate: 600},
 					{Dur: 1500 * time.Millisecond, StartRate: 600, EndRate: 600},
 				},
-				Sessions: 8, MaxPending: 192,
+				Clients: 8, MaxPending: 192,
 				StormStart: 2 * time.Second, StormEnd: 6500 * time.Millisecond,
 			},
 			SLO: SLO{CalmP99Ms: 400, MinCommits: 200, RequireBackpressure: true},
@@ -39,9 +44,9 @@ func Matrix() []Scenario {
 			Name: "kill-mid-storm",
 			Desc: "one replica crashes under load and restarts from its WAL; no committed write may be lost",
 			Keys: 384, ReadOps: 1, WriteOps: 1, EquivReplica: -1, Durable: true,
-			Load: LoadConfig{
-				Phases:   []LoadPhase{{Dur: 8 * time.Second, StartRate: 35, EndRate: 35}},
-				Sessions: 8, MaxPending: 128,
+			Load: benchharness.RunConfig{
+				Phases:  []benchharness.Phase{{Dur: 8 * time.Second, StartRate: 35, EndRate: 35}},
+				Clients: 8, MaxPending: 128,
 				StormStart: 2500 * time.Millisecond, StormEnd: 5 * time.Second,
 			},
 			Events: []Event{
@@ -54,9 +59,9 @@ func Matrix() []Scenario {
 			Name: "slow-disk",
 			Desc: "every WAL fsync slows by 6ms mid-run (group commit absorbs it or the tail shows it), then heals",
 			Keys: 384, ReadOps: 1, WriteOps: 1, EquivReplica: -1, Durable: true,
-			Load: LoadConfig{
-				Phases:   []LoadPhase{{Dur: 8 * time.Second, StartRate: 35, EndRate: 35}},
-				Sessions: 8, MaxPending: 128,
+			Load: benchharness.RunConfig{
+				Phases:  []benchharness.Phase{{Dur: 8 * time.Second, StartRate: 35, EndRate: 35}},
+				Clients: 8, MaxPending: 128,
 				StormStart: 2500 * time.Millisecond, StormEnd: 5 * time.Second,
 			},
 			Events: []Event{
@@ -69,9 +74,9 @@ func Matrix() []Scenario {
 			Name: "partition-heal",
 			Desc: "one replica is partitioned away (fast path dies, slow path carries on) and later heals",
 			Keys: 512, ReadOps: 1, WriteOps: 1, EquivReplica: -1,
-			Load: LoadConfig{
-				Phases:   []LoadPhase{{Dur: 8 * time.Second, StartRate: 40, EndRate: 40}},
-				Sessions: 8, MaxPending: 128,
+			Load: benchharness.RunConfig{
+				Phases:  []benchharness.Phase{{Dur: 8 * time.Second, StartRate: 40, EndRate: 40}},
+				Clients: 8, MaxPending: 128,
 				StormStart: 2500 * time.Millisecond, StormEnd: 5 * time.Second,
 			},
 			Events: []Event{
@@ -84,9 +89,9 @@ func Matrix() []Scenario {
 			Name: "equivocating-replica",
 			Desc: "a Byzantine replica sends different ST1 votes to different recipients; serializability must hold anyway",
 			Keys: 512, ReadOps: 1, WriteOps: 1, EquivReplica: 5,
-			Load: LoadConfig{
-				Phases:   []LoadPhase{{Dur: 8 * time.Second, StartRate: 40, EndRate: 40}},
-				Sessions: 8, MaxPending: 128,
+			Load: benchharness.RunConfig{
+				Phases:  []benchharness.Phase{{Dur: 8 * time.Second, StartRate: 40, EndRate: 40}},
+				Clients: 8, MaxPending: 128,
 				StormStart: 2500 * time.Millisecond, StormEnd: 5 * time.Second,
 			},
 			Events: []Event{
@@ -100,10 +105,11 @@ func Matrix() []Scenario {
 			Desc: "a stall-early spam client floods a bounded shard; admission must shed it while honest traffic commits",
 			Keys: 384, ReadOps: 1, WriteOps: 1, EquivReplica: -1,
 			DispatchQueue: 24, DeltaMicros: 250_000, CheckpointEvery: 100 * time.Millisecond,
-			Spammers: 1, SpamRate: 3000,
-			Load: LoadConfig{
-				Phases:   []LoadPhase{{Dur: 8 * time.Second, StartRate: 30, EndRate: 30}},
-				Sessions: 8, MaxPending: 128,
+			Load: benchharness.RunConfig{
+				Phases:  []benchharness.Phase{{Dur: 8 * time.Second, StartRate: 30, EndRate: 30}},
+				Clients: 8, MaxPending: 128,
+				Byz: benchharness.Byzantine{Clients: 1, Mode: client.FaultStallEarly, Fraction: 1,
+					Rate: 3000, Gen: benchharness.BlindWrites{Keys: 512}},
 			},
 			SLO: SLO{CalmP99Ms: 900, MinCommits: 100, RequireSheds: true},
 		},
@@ -119,9 +125,9 @@ func Smoke() []Scenario {
 			Name: "smoke-baseline",
 			Desc: "short steady run, no chaos",
 			Keys: 128, ReadOps: 1, WriteOps: 1, EquivReplica: -1,
-			Load: LoadConfig{
-				Phases:   []LoadPhase{{Dur: 2500 * time.Millisecond, StartRate: 30, EndRate: 30}},
-				Sessions: 4, MaxPending: 64, Bin: 200 * time.Millisecond,
+			Load: benchharness.RunConfig{
+				Phases:  []benchharness.Phase{{Dur: 2500 * time.Millisecond, StartRate: 30, EndRate: 30}},
+				Clients: 4, MaxPending: 64, Bin: 200 * time.Millisecond,
 			},
 			SLO: SLO{CalmP99Ms: 500, MinCommits: 40, MaxDropFrac: 0.02},
 		},
@@ -129,9 +135,9 @@ func Smoke() []Scenario {
 			Name: "smoke-partition-heal",
 			Desc: "short partition storm over one replica",
 			Keys: 128, ReadOps: 1, WriteOps: 1, EquivReplica: -1,
-			Load: LoadConfig{
-				Phases:   []LoadPhase{{Dur: 4 * time.Second, StartRate: 25, EndRate: 25}},
-				Sessions: 4, MaxPending: 64, Bin: 200 * time.Millisecond,
+			Load: benchharness.RunConfig{
+				Phases:  []benchharness.Phase{{Dur: 4 * time.Second, StartRate: 25, EndRate: 25}},
+				Clients: 4, MaxPending: 64, Bin: 200 * time.Millisecond,
 				StormStart: 1200 * time.Millisecond, StormEnd: 2400 * time.Millisecond,
 			},
 			Events: []Event{

@@ -58,9 +58,9 @@ func (plainGen) Next(rng *rand.Rand) workload.TxnFunc {
 // far above the 2ms service time.
 func TestOpenLoopQueueingDelayVisible(t *testing.T) {
 	sys := &fakeSystem{service: 2 * time.Millisecond}
-	res := OpenLoad(sys, plainGen{}, LoadConfig{
-		Phases:   []LoadPhase{{Dur: time.Second, StartRate: 2000, EndRate: 2000}},
-		Sessions: 1, MaxPending: 512, Seed: 7,
+	res := benchharness.Run(sys, plainGen{}, benchharness.RunConfig{
+		Phases:  []benchharness.Phase{{Dur: time.Second, StartRate: 2000, EndRate: 2000}},
+		Clients: 1, MaxPending: 512, Seed: 7,
 	})
 	if res.Commits == 0 {
 		t.Fatal("no commits")
@@ -69,8 +69,8 @@ func TestOpenLoopQueueingDelayVisible(t *testing.T) {
 	// wait grows to hundreds of milliseconds; anything near the 2ms
 	// service time means latency was measured from dispatch, not from
 	// intended arrival.
-	if res.AllP99Ms < 20 {
-		t.Fatalf("p99 %.2fms does not include queueing delay (service time 2ms)", res.AllP99Ms)
+	if res.P99LatMs < 20 {
+		t.Fatalf("p99 %.2fms does not include queueing delay (service time 2ms)", res.P99LatMs)
 	}
 	if res.Dropped == 0 {
 		t.Fatal("4x overload over a bounded queue must drop arrivals explicitly")
@@ -85,40 +85,18 @@ func TestOpenLoopQueueingDelayVisible(t *testing.T) {
 // same accounting must NOT invent queueing delay.
 func TestOpenLoopCalmLatencyLow(t *testing.T) {
 	sys := &fakeSystem{service: 2 * time.Millisecond}
-	res := OpenLoad(sys, plainGen{}, LoadConfig{
-		Phases:   []LoadPhase{{Dur: time.Second, StartRate: 50, EndRate: 50}},
-		Sessions: 4, MaxPending: 64, Seed: 7,
+	res := benchharness.Run(sys, plainGen{}, benchharness.RunConfig{
+		Phases:  []benchharness.Phase{{Dur: time.Second, StartRate: 50, EndRate: 50}},
+		Clients: 4, MaxPending: 64, Seed: 7,
 	})
 	if res.Commits == 0 {
 		t.Fatal("no commits")
 	}
-	if res.AllP99Ms > 50 {
-		t.Fatalf("p99 %.2fms under light load; queueing delay invented", res.AllP99Ms)
+	if res.P99LatMs > 50 {
+		t.Fatalf("p99 %.2fms under light load; queueing delay invented", res.P99LatMs)
 	}
 	if res.Dropped != 0 {
 		t.Fatalf("%d drops under light load", res.Dropped)
-	}
-}
-
-// TestRateAtRamp pins the piecewise-linear profile interpolation.
-func TestRateAtRamp(t *testing.T) {
-	phases := []LoadPhase{
-		{Dur: 2 * time.Second, StartRate: 50, EndRate: 50},
-		{Dur: 4 * time.Second, StartRate: 50, EndRate: 450},
-	}
-	cases := []struct {
-		at   time.Duration
-		want float64
-	}{
-		{0, 50}, {time.Second, 50}, {2 * time.Second, 50},
-		{4 * time.Second, 250}, {6*time.Second - time.Millisecond, 449.9},
-		{7 * time.Second, 0},
-	}
-	for _, c := range cases {
-		got := rateAt(phases, c.at)
-		if got < c.want-1 || got > c.want+1 {
-			t.Fatalf("rateAt(%s) = %.1f, want ~%.1f", c.at, got, c.want)
-		}
 	}
 }
 
@@ -151,12 +129,13 @@ func TestRecoveryMs(t *testing.T) {
 // becomes a named check and any failing clause fails the verdict.
 func TestVerdictChecks(t *testing.T) {
 	in := verdictInput{
-		open: OpenResult{
+		load: benchharness.Result{
 			Commits: 500, Offered: 520, Dropped: 5,
 			CalmP99Ms: 80, StormP99Ms: 400, CalmCount: 300, StormCount: 150,
+			Shed: 3, Overloads: 2,
 		},
-		sheds: 3, overloads: 2, recoveryMs: 700,
-		tuning: Tuning{RateScale: 1, LatScale: 1, SpamScale: 1},
+		recoveryMs: 700,
+		tuning:     Tuning{RateScale: 1, LatScale: 1, SpamScale: 1},
 	}
 	slo := SLO{
 		CalmP99Ms: 100, StormP99Ms: 500, MinCommits: 400,
@@ -173,15 +152,15 @@ func TestVerdictChecks(t *testing.T) {
 	}
 
 	// A single breached clause must flip the verdict.
-	in.open.CalmP99Ms = 150
+	in.load.CalmP99Ms = 150
 	if v := slo.evaluate(in); v.Pass {
 		t.Fatal("breached calm p99 still passed")
 	}
-	in.open.CalmP99Ms = 80
+	in.load.CalmP99Ms = 80
 
 	// Race tuning widens the budget back to passing.
 	in.tuning = Tuning{RateScale: 1, LatScale: 8, SpamScale: 1}
-	in.open.CalmP99Ms = 150
+	in.load.CalmP99Ms = 150
 	if v := slo.evaluate(in); !v.Pass {
 		t.Fatalf("race-scaled budget should absorb 150ms: %+v", v.Checks)
 	}

@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/benchharness"
 )
@@ -32,13 +30,12 @@ type JSONScenario struct {
 	Events        []string `json:"events,omitempty"`
 }
 
-// JSONReport is the BENCH_scenarios.json schema (documented in
+// JSONReport is the results part of BENCH_scenarios.json (documented in
 // docs/benchmarking.md).
 type JSONReport struct {
-	Experiment string         `json:"experiment"`
-	Seed       int64          `json:"seed"`
-	Race       bool           `json:"race"`
-	Scenarios  []JSONScenario `json:"scenarios"`
+	Seed      int64          `json:"seed"`
+	Race      bool           `json:"race"`
+	Scenarios []JSONScenario `json:"scenarios"`
 }
 
 // toJSON flattens a Result into its report row.
@@ -46,12 +43,12 @@ func toJSON(r Result) JSONScenario {
 	return JSONScenario{
 		Name: r.Name, Desc: r.Desc, Seed: r.Seed,
 		Pass: r.Verdict.Pass, Checks: r.Verdict.Checks,
-		Offered: r.Open.Offered, Commits: r.Open.Commits,
-		Dropped: r.Open.Dropped, Starved: r.Open.Starved, Unknown: r.Open.Unknowns,
-		ThroughputTxs: r.ThroughputTxs,
-		CalmP99Ms:     r.Open.CalmP99Ms, StormP99Ms: r.Open.StormP99Ms,
+		Offered: r.Load.Offered, Commits: r.Load.Commits,
+		Dropped: r.Load.Dropped, Starved: r.Load.Starved, Unknown: r.Load.Unknowns,
+		ThroughputTxs: r.Load.Throughput,
+		CalmP99Ms:     r.Load.CalmP99Ms, StormP99Ms: r.Load.StormP99Ms,
 		RecoveryMs: r.RecoveryMs, FastPathShare: r.FastPathShare,
-		Sheds: r.Sheds, Overloads: r.Overloads, SpamSent: r.SpamSent,
+		Sheds: r.Load.Shed, Overloads: r.Load.Overloads, SpamSent: r.Load.FaultyTxs,
 		Events: r.Events,
 	}
 }
@@ -59,7 +56,7 @@ func toJSON(r Result) JSONScenario {
 // RunMatrix runs every scenario in scs with the given seed and tuning
 // and returns the results plus the assembled report.
 func RunMatrix(scs []Scenario, seed int64, tn Tuning) ([]Result, JSONReport, error) {
-	rep := JSONReport{Experiment: "scenarios", Seed: seed, Race: raceEnabled}
+	rep := JSONReport{Seed: seed, Race: raceEnabled}
 	var results []Result
 	for _, sc := range scs {
 		r, err := RunScenario(sc, seed, tn)
@@ -72,13 +69,9 @@ func RunMatrix(scs []Scenario, seed int64, tn Tuning) ([]Result, JSONReport, err
 	return results, rep, nil
 }
 
-// WriteJSON writes the report.
+// WriteJSON writes the report in the shared benchmark record envelope.
 func WriteJSON(path string, rep JSONReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return benchharness.WriteRecord(path, "scenarios", rep)
 }
 
 // FigScenarios renders the scenario verdicts as a bench table: one row
@@ -106,12 +99,12 @@ func FigScenarios(results []Result) benchharness.Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			r.Name, verdict,
-			fmt.Sprint(r.Open.Offered), fmt.Sprint(r.Open.Commits),
-			fmt.Sprintf("%.1f", r.ThroughputTxs),
-			fmt.Sprintf("%.1f", r.Open.CalmP99Ms),
-			fmt.Sprintf("%.1f", r.Open.StormP99Ms),
+			fmt.Sprint(r.Load.Offered), fmt.Sprint(r.Load.Commits),
+			fmt.Sprintf("%.1f", r.Load.Throughput),
+			fmt.Sprintf("%.1f", r.Load.CalmP99Ms),
+			fmt.Sprintf("%.1f", r.Load.StormP99Ms),
 			recover,
-			fmt.Sprint(r.Sheds),
+			fmt.Sprint(r.Load.Shed),
 		})
 	}
 	return t

@@ -2,15 +2,12 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/basil"
 	"repro/internal/benchharness"
-	"repro/internal/client"
 	"repro/internal/faults"
 	"repro/internal/replica"
 	"repro/internal/types"
@@ -18,19 +15,14 @@ import (
 	"repro/internal/workload"
 )
 
-// Result is one scenario's full outcome: the open-loop aggregate, the
+// Result is one scenario's full outcome: the load driver's aggregate, the
 // protocol-level evidence the verdict consumed, and the verdict itself.
 type Result struct {
 	Name string
 	Desc string
 	Seed int64
 
-	Open          OpenResult
-	ThroughputTxs float64
-	Sheds         uint64
-	RepSheds      uint64
-	Overloads     uint64
-	SpamSent      uint64
+	Load          benchharness.Result
 	Unresolved    int
 	Audited       int
 	RecoveryMs    float64
@@ -58,11 +50,12 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 	// Scale the offered load to the build.
 	load := sc.Load
 	load.Seed = seed
-	load.Phases = append([]LoadPhase(nil), sc.Load.Phases...)
+	load.Phases = append([]benchharness.Phase(nil), sc.Load.Phases...)
 	for i := range load.Phases {
 		load.Phases[i].StartRate *= tn.RateScale
 		load.Phases[i].EndRate *= tn.RateScale
 	}
+	load.Byz.Rate = int(float64(load.Byz.Rate) * tn.SpamScale)
 
 	rt := &Runtime{
 		Chaos: faults.NewChaos(seed),
@@ -73,7 +66,7 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 	opts := basil.Options{
 		F:               1,
 		Shards:          max(sc.Shards, 1),
-		BatchSize:       16,
+		BatchSize:       benchharness.BatchSize,
 		VerifyWorkers:   2,
 		DispatchQueue:   sc.DispatchQueue,
 		DeltaMicros:     sc.DeltaMicros,
@@ -117,55 +110,16 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 	sys := &benchharness.BasilSystem{C: cl, Label: sc.Name}
 	benchharness.Populate(sys, gen)
 
-	// Spammers (if any) attack for the whole run: stall-early blind
-	// writes over a private key range, paced so the in-process attacker
-	// saturates intake without out-spinning its victims for CPU.
-	stopSpam := make(chan struct{})
-	var spamWG sync.WaitGroup
-	var spamSent atomic.Uint64
-	for i := 0; i < sc.Spammers; i++ {
-		c := cl.NewClient()
-		rng := rand.New(rand.NewSource(seed + 900_001 + int64(i)*104729))
-		spamWG.Add(1)
-		go func() {
-			defer spamWG.Done()
-			inner := c.Inner()
-			rate := float64(sc.SpamRate) * tn.SpamScale
-			const tick = 2 * time.Millisecond
-			burst := int(rate * tick.Seconds())
-			if burst < 1 {
-				burst = 1
-			}
-			for {
-				select {
-				case <-stopSpam:
-					return
-				default:
-				}
-				for b := 0; b < burst; b++ {
-					key := fmt.Sprintf("spam:%d", rng.Uint64()%512)
-					tx := inner.Begin()
-					tx.Write(key, []byte{byte(b)})
-					inner.CommitFaulty(tx, client.FaultStallEarly)
-					spamSent.Add(1)
-				}
-				time.Sleep(tick)
-			}
-		}()
-	}
-
 	// The storm: chaos schedule over the open-loop run.
 	stopChaos := make(chan struct{})
 	var chaosWG sync.WaitGroup
 	start := time.Now()
 	runSchedule(rt, sc.Events, start, stopChaos, &chaosWG)
 
-	open := OpenLoad(sys, gen, load)
+	out := benchharness.Run(sys, gen, load)
 
 	close(stopChaos)
 	chaosWG.Wait()
-	close(stopSpam)
-	spamWG.Wait()
 
 	// Quiesce: release every injector so the post-run resolution and
 	// audit see a healthy cluster (the storm itself is already over).
@@ -181,11 +135,11 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 	// on each other, so the sweep repeats — finishing one transaction
 	// unblocks replicas deferring another's vote.
 	var checker verify.Checker
-	for _, m := range open.Metas {
+	for _, m := range out.Metas {
 		checker.Add(verify.FromMeta(m))
 	}
 	resolver := cl.NewClient()
-	pending := open.UnknownMetas
+	pending := out.UnknownMetas
 	for pass := 0; pass < 6 && len(pending) > 0; pass++ {
 		var next []*types.TxMeta
 		for _, meta := range pending {
@@ -212,33 +166,22 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 		serialErr = checker.CheckTimestampOrderConsistent()
 	}
 
+	events, eventErrs := rt.events()
 	res := Result{
 		Name: sc.Name, Desc: sc.Desc, Seed: seed,
-		Open:          open,
-		ThroughputTxs: float64(open.Commits) / open.Elapsed.Seconds(),
-		SpamSent:      spamSent.Load(),
+		Load:          out,
 		Unresolved:    len(pending),
 		Audited:       audited,
 		FastPathShare: sys.FastPathShare(),
-		RecoveryMs:    recoveryMs(open.Bins, open.BinDur, load.StormStart, load.StormEnd, sc.SLO.RecoverFrac),
+		RecoveryMs:    recoveryMs(out.Bins, out.BinDur, load.StormStart, load.StormEnd, sc.SLO.RecoverFrac),
+		Events:        events,
+		EventErrs:     eventErrs,
 	}
-	for s := 0; s < cl.Shards(); s++ {
-		for i := 0; i < cl.ReplicaCount(); i++ {
-			r := cl.Replica(s, i)
-			res.Sheds += r.Stats.Shed.Load()
-			res.RepSheds += r.Stats.ShedReputation.Load()
-		}
-	}
-	res.Overloads = sys.Overloads()
-	res.Events, res.EventErrs = rt.events()
-
 	res.Verdict = sc.SLO.evaluate(verdictInput{
-		open:       open,
+		load:       out,
 		serialErr:  serialErr,
 		audited:    audited,
 		unresolved: len(pending),
-		sheds:      res.Sheds,
-		overloads:  res.Overloads,
 		recoveryMs: res.RecoveryMs,
 		eventErrs:  res.EventErrs,
 		hasEvents:  len(sc.Events) > 0,
@@ -248,9 +191,9 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 }
 
 // auditReads runs read-only transactions over a key sample and adds the
-// committed ones to the checker. Reads batch 8 keys per transaction and
-// tolerate a couple of retries each; the return value is how many audit
-// transactions made it into the DSG.
+// committed ones to the checker. Reads batch 8 keys per transaction,
+// each retried through basil.Client.Run; the return value is how many
+// audit transactions made it into the DSG.
 func auditReads(cl *basil.Cluster, gen *workload.YCSB, keys uint64, checker *verify.Checker) int {
 	sample := keys
 	if sample > 48 {
@@ -263,27 +206,18 @@ func auditReads(cl *basil.Cluster, gen *workload.YCSB, keys uint64, checker *ver
 	audited := 0
 	auditor := cl.NewClient()
 	for base := uint64(0); base < sample; base += 8 {
-		var meta *types.TxMeta
-		for attempt := 0; attempt < 3; attempt++ {
-			tx := auditor.Begin()
-			ok := true
+		var last *basil.Txn
+		err := auditor.Run(func(tx *basil.Txn) error {
+			last = tx
 			for i := base; i < base+8 && i < sample; i++ {
 				if _, err := tx.Read(gen.Key(i * step % keys)); err != nil {
-					ok = false
-					break
+					return err
 				}
 			}
-			if !ok {
-				tx.Abort()
-				continue
-			}
-			if tx.Commit() == nil {
-				meta = tx.Meta()
-			}
-			break
-		}
-		if meta != nil {
-			checker.Add(verify.FromMeta(meta))
+			return nil
+		})
+		if err == nil {
+			checker.Add(verify.FromMeta(last.Meta()))
 			audited++
 		}
 	}

@@ -19,13 +19,15 @@
 // streams).
 //
 // Ownership: a Runtime and its injectors are owned by RunScenario for
-// the duration of one run; the open-loop dispatcher, session workers,
-// spammers and the chaos schedule goroutine are all wg-tracked and
-// stop-bound, and are joined before the verdict is computed.
+// the duration of one run; the load runs on benchharness.Run, whose
+// goroutines are joined when it returns, and the chaos schedule
+// goroutine is stop-bound and joined before the verdict is computed.
 package scenario
 
 import (
 	"time"
+
+	"repro/internal/benchharness"
 )
 
 // Tuning scales a scenario to the build and host it runs on. The race
@@ -76,14 +78,11 @@ type Scenario struct {
 	CheckpointEvery time.Duration
 	EquivReplica    int
 
-	// Byzantine client-side spam running for the whole scenario:
-	// Spammers stall-early blind-write clients paced at SpamRate ST1
-	// broadcasts per second each (see internal/benchharness/admission.go
-	// for why spam is write-only and paced).
-	Spammers int
-	SpamRate int
-
-	Load   LoadConfig
+	// Load is the open-arrival profile, with any Byzantine client-side
+	// spam that runs for the whole scenario in Load.Byz (see
+	// internal/benchharness/admission.go for why spam is write-only and
+	// paced).
+	Load   benchharness.RunConfig
 	Events []Event
 	SLO    SLO
 }

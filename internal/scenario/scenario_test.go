@@ -19,7 +19,7 @@ func TestSmokeScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if res.Open.Commits == 0 {
+			if res.Load.Commits == 0 {
 				t.Fatalf("seed %d: no commits", seed)
 			}
 			for _, c := range res.Verdict.Checks {
@@ -53,8 +53,8 @@ func TestSmokeScenarioSeedReproducible(t *testing.T) {
 	// The Poisson schedule is seed-derived: both runs draw the same
 	// inter-arrival gaps, so offered counts agree within the handful of
 	// arrivals that real-time dispatch can clip at the window edge.
-	diff := int64(a.Open.Offered) - int64(b.Open.Offered)
+	diff := int64(a.Load.Offered) - int64(b.Load.Offered)
 	if diff < -3 || diff > 3 {
-		t.Fatalf("same-seed runs offered %d vs %d arrivals", a.Open.Offered, b.Open.Offered)
+		t.Fatalf("same-seed runs offered %d vs %d arrivals", a.Load.Offered, b.Load.Offered)
 	}
 }

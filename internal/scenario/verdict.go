@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/benchharness"
 )
 
 // SLO is a scenario's explicit service-level objectives. Zero-valued
@@ -67,12 +69,10 @@ func (v *Verdict) finalize() {
 // verdictInput is everything the SLO evaluation consumes, gathered by
 // RunScenario after all goroutines joined.
 type verdictInput struct {
-	open       OpenResult
+	load       benchharness.Result
 	serialErr  error   // DSG oracle outcome over commits + resolved unknowns + final reads
 	audited    int     // final-read audit transactions that committed
 	unresolved int     // unknowns FinishTransaction could not decide
-	sheds      uint64  // replica admission refusals
-	overloads  uint64  // Overloaded replies honest clients consumed
 	recoveryMs float64 // -1 = never recovered; 0 with no storm window
 	eventErrs  []string
 	hasEvents  bool
@@ -103,18 +103,18 @@ func (s SLO) evaluate(in verdictInput) Verdict {
 		if want == 0 {
 			want = 1
 		}
-		v.add("min-commits", in.open.Commits >= want,
-			"%d commits (floor %d)", in.open.Commits, want)
+		v.add("min-commits", in.load.Commits >= want,
+			"%d commits (floor %d)", in.load.Commits, want)
 	}
 	if s.CalmP99Ms > 0 {
 		budget := s.CalmP99Ms * tn.LatScale
-		v.add("calm-p99", in.open.CalmP99Ms <= budget,
-			"%.1fms (budget %.0fms, n=%d)", in.open.CalmP99Ms, budget, in.open.CalmCount)
+		v.add("calm-p99", in.load.CalmP99Ms <= budget,
+			"%.1fms (budget %.0fms, n=%d)", in.load.CalmP99Ms, budget, in.load.CalmCount)
 	}
 	if s.StormP99Ms > 0 {
 		budget := s.StormP99Ms * tn.LatScale
-		v.add("storm-p99", in.open.StormP99Ms <= budget,
-			"%.1fms (budget %.0fms, n=%d)", in.open.StormP99Ms, budget, in.open.StormCount)
+		v.add("storm-p99", in.load.StormP99Ms <= budget,
+			"%.1fms (budget %.0fms, n=%d)", in.load.StormP99Ms, budget, in.load.StormCount)
 	}
 	if s.RecoverWithin > 0 {
 		deadline := float64(s.RecoverWithin.Milliseconds()) * tn.LatScale
@@ -126,16 +126,16 @@ func (s SLO) evaluate(in verdictInput) Verdict {
 		v.add("recovery", ok, "%s", detail)
 	}
 	if s.RequireSheds {
-		v.add("admission-engaged", in.sheds > 0,
-			"%d replica sheds, %d honest Overloaded replies", in.sheds, in.overloads)
+		v.add("admission-engaged", in.load.Shed > 0,
+			"%d replica sheds, %d honest Overloaded replies", in.load.Shed, in.load.Overloads)
 	}
 	if s.RequireBackpressure {
-		explicit := in.open.Dropped + in.open.Starved + in.sheds + in.overloads
+		explicit := in.load.Dropped + in.load.Starved + in.load.Shed + in.load.Overloads
 		v.add("backpressure-explicit", explicit > 0,
-			"%d drops + %d starved + %d sheds + %d overloads", in.open.Dropped, in.open.Starved, in.sheds, in.overloads)
+			"%d drops + %d starved + %d sheds + %d overloads", in.load.Dropped, in.load.Starved, in.load.Shed, in.load.Overloads)
 	}
-	if s.MaxDropFrac > 0 && in.open.Offered > 0 {
-		frac := float64(in.open.Dropped) / float64(in.open.Offered)
+	if s.MaxDropFrac > 0 && in.load.Offered > 0 {
+		frac := float64(in.load.Dropped) / float64(in.load.Offered)
 		v.add("drop-frac", frac <= s.MaxDropFrac,
 			"%.3f of offered load dropped (budget %.3f)", frac, s.MaxDropFrac)
 	}

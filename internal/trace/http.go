@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -23,7 +24,7 @@ type JSONSpan struct {
 type JSONTrace struct {
 	TraceID     string   `json:"trace_id"`
 	Status      string   `json:"status,omitempty"`
-	Forced      string   `json:"forced,omitempty"` // reason, when force-captured
+	Forced      []string `json:"forced,omitempty"` // every reason that forced capture, first first
 	StartUnixNs int64    `json:"start_unix_ns"`
 	DurUs       int64    `json:"dur_us"`
 	Incomplete  bool     `json:"incomplete,omitempty"` // root span evicted or txn in flight
@@ -55,14 +56,15 @@ func assemble(spans []*Span, limit int) []JSONTrace {
 func buildTrace(id uint64, ss []*Span) JSONTrace {
 	t := JSONTrace{TraceID: hexID(id)}
 	var root *Span
+	sort.Slice(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start })
 	for _, s := range ss {
 		switch s.Name {
 		case RootSpan:
 			root = s
 			t.Status = trimPrefix(s.Attrs, "status=")
 		case "trace.forced":
-			if t.Forced == "" {
-				t.Forced = trimPrefix(s.Attrs, "reason=")
+			if r := trimPrefix(s.Attrs, "reason="); !slices.Contains(t.Forced, r) {
+				t.Forced = append(t.Forced, r)
 			}
 		}
 	}
@@ -87,9 +89,8 @@ func buildTrace(id uint64, ss []*Span) JSONTrace {
 		DurUs: (root.End - root.Start) / 1e3, Attrs: root.Attrs,
 	}
 
-	// Children sorted by start; one level of nesting under explicit
+	// Children in start order; one level of nesting under explicit
 	// parents, everything else under the root.
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start })
 	known := map[uint64]*JSONSpan{root.SpanID: &t.Root}
 	for _, s := range ss {
 		if s == root {

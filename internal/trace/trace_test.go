@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -243,7 +244,7 @@ func TestTracesHandlerJSON(t *testing.T) {
 		t.Fatalf("got %d traces", len(got.Traces))
 	}
 	jt := got.Traces[0]
-	if jt.Status != "abort" || jt.Forced != "fallback" || jt.Incomplete {
+	if jt.Status != "abort" || !slices.Equal(jt.Forced, []string{"fallback"}) || jt.Incomplete {
 		t.Fatalf("bad trace header %+v", jt)
 	}
 	names := map[string]bool{}
@@ -259,6 +260,32 @@ func TestTracesHandlerJSON(t *testing.T) {
 	TracesHandler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/traces?n=0", nil))
 	if rec.Code != 200 {
 		t.Fatalf("limit request: %d", rec.Code)
+	}
+}
+
+// TestTracesListEveryForcedReason: a transaction forced into capture for
+// more than one reason (here: recovery, then a shed) lists every reason,
+// in the order they forced it, each once.
+func TestTracesListEveryForcedReason(t *testing.T) {
+	tr, _ := newTestTracer(0)
+	tc, root := tr.Begin()
+	begun := tr.Start(tc)
+	tr.Force(&tc, "c0", "recovery")
+	tr.Force(&tc, "c0", "overload")
+	tr.Force(&tc, "c0", "overload")
+	tr.Finish(tc, "c0", root, begun, "commit")
+
+	rec := httptest.NewRecorder()
+	TracesHandler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
+	var got struct{ Traces []JSONTrace }
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	if len(got.Traces) != 1 {
+		t.Fatalf("got %d traces", len(got.Traces))
+	}
+	if want := []string{"recovery", "overload"}; !slices.Equal(got.Traces[0].Forced, want) {
+		t.Fatalf("forced = %q, want %q", got.Traces[0].Forced, want)
 	}
 }
 

@@ -266,8 +266,8 @@ func TestTCPDialingDropsPerPeerMetric(t *testing.T) {
 }
 
 // TestLocalBoundedReplicaMailbox: with SetReplicaQueueCap, a replica-role
-// mailbox stops accepting past its cap (drops report as unsent), while
-// client mailboxes stay unbounded.
+// mailbox stops accepting past its cap (drops report as unsent), except
+// for writebacks, while client mailboxes stay unbounded.
 func TestLocalBoundedReplicaMailbox(t *testing.T) {
 	l := NewLocal()
 	defer l.Close()
@@ -292,6 +292,11 @@ func TestLocalBoundedReplicaMailbox(t *testing.T) {
 	if accepted > 6 {
 		t.Fatalf("accepted %d sends, want <= 6 with cap 4", accepted)
 	}
+	// Nothing would ever resend a dropped writeback.
+	if l.SendAll(ClientAddr(1), []Addr{replica}, &types.WritebackRequest{}) != 1 {
+		t.Fatal("full replica mailbox dropped a writeback")
+	}
+	accepted++
 	close(gate)
 	deadline := time.Now().Add(3 * time.Second)
 	for int(delivered.Load()) < accepted {

@@ -13,6 +13,8 @@ package transport
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/types"
 )
 
 // Role distinguishes replica and client endpoints.
@@ -127,10 +129,11 @@ func newBoundedMailbox(cap int) *mailbox {
 }
 
 // push appends e unless the mailbox is closed or full; it reports whether
-// the envelope was accepted.
+// the envelope was accepted. A full mailbox still accepts what
+// types.NeverShed names.
 func (m *mailbox) push(e envelope) bool {
 	m.mu.Lock()
-	if m.closed || (m.cap > 0 && len(m.queue) >= m.cap) {
+	if m.closed || (m.cap > 0 && len(m.queue) >= m.cap && !types.NeverShed(e.msg)) {
 		m.mu.Unlock()
 		return false
 	}

@@ -369,6 +369,15 @@ type WritebackRequest struct {
 	TC TraceContext
 }
 
+// NeverShed reports whether a bounded intake queue must accept msg even
+// when full. A writeback carries no request id, so a shed one would get
+// no Overloaded reply and its sender would never resend it: the commit
+// could end up applied nowhere.
+func NeverShed(msg any) bool {
+	_, ok := msg.(*WritebackRequest)
+	return ok
+}
+
 // Overloaded is a replica's explicit load-shed reply: the admission queue
 // was over capacity (or the sender's reputation deprioritized it under
 // pressure), so the request was dropped without processing. ReqID echoes

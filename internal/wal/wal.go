@@ -80,9 +80,6 @@ type Options struct {
 	// SegmentBytes rotates to a new segment once the current one exceeds
 	// this size. Default 4 MiB.
 	SegmentBytes int64
-	// NoSync skips fsync entirely (benchmark baselines only; a crash may
-	// lose acknowledged records).
-	NoSync bool
 	// SyncDelay, if non-nil, is consulted before every group-commit fsync
 	// the flusher issues and the returned duration is slept out first —
 	// the chaos harness's slow-disk injection (internal/scenario). The
@@ -291,21 +288,18 @@ func (l *Log) flusher() {
 		f := l.f
 		l.mu.Unlock()
 
-		var err error
-		if !l.opts.NoSync {
-			var syncStart time.Time
-			if l.opts.SyncLatency != nil {
-				syncStart = time.Now()
+		var syncStart time.Time
+		if l.opts.SyncLatency != nil {
+			syncStart = time.Now()
+		}
+		if l.opts.SyncDelay != nil {
+			if d := l.opts.SyncDelay(); d > 0 {
+				time.Sleep(d)
 			}
-			if l.opts.SyncDelay != nil {
-				if d := l.opts.SyncDelay(); d > 0 {
-					time.Sleep(d)
-				}
-			}
-			err = f.Sync()
-			if l.opts.SyncLatency != nil {
-				l.opts.SyncLatency.Since(syncStart)
-			}
+		}
+		err := f.Sync()
+		if l.opts.SyncLatency != nil {
+			l.opts.SyncLatency.Since(syncStart)
 		}
 
 		l.mu.Lock()
@@ -337,11 +331,9 @@ func (l *Log) flusher() {
 func (l *Log) rotateLocked() error {
 	if l.appended != l.synced {
 		// Unsynced frames may not move between files; sync them first.
-		if !l.opts.NoSync {
-			//nolint:basilvet — intentional barrier: the appenders this sync retires are parked on l.cond (which released l.mu), and rotation must not race new appends into the closing segment.
-			if err := l.f.Sync(); err != nil {
-				return err
-			}
+		//nolint:basilvet — intentional barrier: the appenders this sync retires are parked on l.cond (which released l.mu), and rotation must not race new appends into the closing segment.
+		if err := l.f.Sync(); err != nil {
+			return err
 		}
 		l.synced = l.appended
 		l.stats.Syncs++
@@ -365,17 +357,15 @@ func (l *Log) openSegment() error {
 		f.Close()
 		return err
 	}
-	if !l.opts.NoSync {
-		//nolint:basilvet — intentional barrier: a new segment must exist durably before any append lands in it; runs only at open/rotate, never on the append fast path.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		//nolint:basilvet — intentional barrier: the directory entry must be durable too, same rotation-only path as above.
-		if err := l.dir.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	//nolint:basilvet — intentional barrier: a new segment must exist durably before any append lands in it; runs only at open/rotate, never on the append fast path.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	//nolint:basilvet — intentional barrier: the directory entry must be durable too, same rotation-only path as above.
+	if err := l.dir.Sync(); err != nil {
+		f.Close()
+		return err
 	}
 	l.f, l.size = f, int64(len(segMagic))
 	return nil
@@ -422,16 +412,14 @@ func (l *Log) Checkpoint(snap func() []byte) error {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(data)))
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(data))
 	buf = append(buf, data...)
-	if err := writeFileSync(tmp, buf, !l.opts.NoSync); err != nil {
+	if err := writeFileSync(tmp, buf); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		return err
 	}
-	if !l.opts.NoSync {
-		if err := l.dir.Sync(); err != nil {
-			return err
-		}
+	if err := l.dir.Sync(); err != nil {
+		return err
 	}
 	// Best-effort prune: the checkpoint is fully published and durable at
 	// this point, so a failure here (e.g. a transient ReadDir error)
@@ -458,10 +446,8 @@ func (l *Log) Close() error {
 	// are woken either by this sync or by the closed flag.
 	var err error
 	if l.appended != l.synced && l.syncErr == nil {
-		if !l.opts.NoSync {
-			//nolint:basilvet — intentional barrier: Close owns l.mu precisely to fence out new appenders while the final frames are made durable; shutdown-only path.
-			err = l.f.Sync()
-		}
+		//nolint:basilvet — intentional barrier: Close owns l.mu precisely to fence out new appenders while the final frames are made durable; shutdown-only path.
+		err = l.f.Sync()
 		if err == nil {
 			l.synced = l.appended
 			l.stats.Syncs++
@@ -686,7 +672,7 @@ func prune(dir string, cut uint64) error {
 	return nil
 }
 
-func writeFileSync(path string, data []byte, doSync bool) error {
+func writeFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -695,11 +681,9 @@ func writeFileSync(path string, data []byte, doSync bool) error {
 		f.Close()
 		return err
 	}
-	if doSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
 	}
 	return f.Close()
 }
