@@ -43,7 +43,7 @@ test:
 
 # Transport concurrency (writer goroutines, background dialing, SendAll
 # body sharing), client reply collection, the replica's parallel ingest
-# pipeline, the striped store, the WAL's group-commit flusher, and the
+# pipeline, the striped store, the WAL's leader-based group commit, and the
 # metrics record path (lock-free histograms hammered from many
 # goroutines) must stay race-clean, along with the quorum tally/verifier
 # paths, the bench harness that drives clusters from many client
@@ -59,11 +59,14 @@ test:
 # moment a writeback finalizes it, so the races of ST1, ST2 and fallback
 # requests against that writeback run ten times, as do the replica's
 # read-reply MAC-key cache (concurrent first reads from many client keys)
-# and the client's read-validation tests. Runs as part of `make check`.
+# and the client's read-validation tests. The WAL's group-commit leader
+# hand-off (appenders piling up behind a held sync, Close and Checkpoint
+# racing a leader) runs twenty times. Runs as part of `make check`.
 test-race:
 	$(GO) test -race ./internal/transport/ ./internal/client/ ./internal/replica/ ./internal/store/ ./internal/wal/ ./internal/metrics/ ./internal/quorum/ ./internal/benchharness/ ./internal/types/ ./internal/cryptoutil/ ./internal/trace/ ./internal/faults/ ./internal/scenario/ ./internal/edwards25519/...
 	$(GO) test -race -count=10 ./internal/replica/ -run RacingWritebackCollected
 	$(GO) test -race -count=10 ./internal/replica/ ./internal/client/ -run '^TestRead'
+	$(GO) test -race -count=20 ./internal/wal/ -run 'GroupCommit|LeaderSync|ConcurrentAppends'
 	$(GO) test -race ./basil/ -run 'TestCrashRestart|TestRestartReplica|TestOverloadSheds'
 
 # On amd64 the field multiply is assembly; the generic Go field code that
@@ -86,7 +89,7 @@ race:
 # BENCH_parallel.json at GOMAXPROCS=4 with exactly-twice message delivery;
 # see internal/store/parallel_bench_test.go for what each side models),
 # the WAL group-commit sweep (recorded to BENCH_wal.json — the fsync
-# amortization curve across appender counts and flush windows), the
+# amortization curve across 1, 8 and 32 appenders), the
 # checkpoint lifecycle ladder (recorded to BENCH_checkpoint.json —
 # steady-state checkpoint cost must stay flat as history grows), the
 # admission overload scenario (recorded to BENCH_admission.json — honest

@@ -77,15 +77,12 @@ type Options struct {
 	// DataDir/s<shard>-r<index> before the replies they justify are
 	// sent, and RestartReplica rebuilds a crashed replica from it.
 	DataDir string
-	// WALFlushDelay is the WAL group-commit window: concurrent prepares
-	// inside one window share a single fsync. 0 uses the wal default
-	// (200µs).
-	WALFlushDelay time.Duration
 	// WALSyncDelay, if non-nil, is consulted before every WAL fsync on
 	// replica (shard, index) and the returned duration is slept out first
 	// — the scenario harness's slow-disk chaos injection (see
-	// wal.Options.SyncDelay). Must be safe for concurrent use; it is
-	// consulted from every replica's WAL flusher. Requires DataDir.
+	// wal.Options.SyncDelay). Must be safe for concurrent use; every
+	// replica's WAL consults it before each group commit. Requires
+	// DataDir.
 	WALSyncDelay func(shard, index int32) time.Duration
 	// CheckpointEvery, if positive, periodically checkpoints each
 	// replica at a clock-derived GC watermark, bounding memory growth
@@ -268,7 +265,6 @@ func (c *Cluster) replicaConfig(s, i int32, nodeNet transport.Network) replica.C
 		SignerID: c.signerOf(s, i), SignerOf: c.signerOf,
 		Net:                 nodeNet,
 		DataDir:             c.replicaDataDir(s, i),
-		WALFlushDelay:       c.opts.WALFlushDelay,
 		CheckpointEvery:     c.opts.CheckpointEvery,
 		AllowUnvalidatedST2: c.opts.AllowUnvalidatedST2,
 		DispatchQueue:       c.opts.DispatchQueue,

@@ -25,8 +25,7 @@ import (
 func TestRestartReplicaRejoins(t *testing.T) {
 	cl := basil.NewCluster(basil.Options{
 		F: 1, Shards: 1,
-		DataDir:       t.TempDir(),
-		WALFlushDelay: 100 * time.Microsecond,
+		DataDir: t.TempDir(),
 	})
 	defer cl.Close()
 	for i := 0; i < 4; i++ {
@@ -138,10 +137,9 @@ func crashFuzzRun(t *testing.T, seed int64) {
 	}
 	cl := basil.NewCluster(basil.Options{
 		F: 1, Shards: 1, BatchSize: 4,
-		DataDir:       t.TempDir(),
-		WALFlushDelay: 100 * time.Microsecond,
-		PhaseTimeout:  phase,
-		RetryTimeout:  retry,
+		DataDir:      t.TempDir(),
+		PhaseTimeout: phase,
+		RetryTimeout: retry,
 	})
 	defer cl.Close()
 	keys := make([]string, nKeys)

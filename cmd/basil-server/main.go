@@ -46,7 +46,6 @@ func main() {
 	verifyWorkers := flag.Int("verify-workers", 0, "ingest worker pool size: signature verification and message handling run concurrently on this many workers (0 = GOMAXPROCS, 1 = serial message loop)")
 	stripes := flag.Int("stripes", 0, "store lock-stripe count; prepares on disjoint key stripes run in parallel (0 = default, 1 = single global key lock)")
 	dataDir := flag.String("data-dir", "", "durability directory: stage-1 votes and logged decisions hit a write-ahead log here before any reply, and a restarted server rejoins with its promises intact (empty = in-memory only)")
-	walWindow := flag.Duration("wal-window", 0, "WAL group-commit window; concurrent prepares within it share one fsync (0 = default 200µs)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "checkpoint cadence with -data-dir: GC below a clock-derived watermark and snapshot, bounding log and memory growth (0 = never)")
 	adminAddr := flag.String("admin-addr", "", "admin HTTP listen address serving /metrics (Prometheus), /stats (JSON) and /healthz (empty = no admin endpoint)")
 	maxConns := flag.Int("max-conns", 0, "maximum concurrent inbound TCP connections; further accepts are closed immediately (0 = unlimited)")
@@ -92,7 +91,6 @@ func main() {
 		BatchSize:       *batch,
 		VerifyWorkers:   *verifyWorkers,
 		Stripes:         *stripes,
-		WALFlushDelay:   *walWindow,
 		CheckpointEvery: *ckptEvery,
 		Registry:        reg,
 		SignerID:        signerOf(shard, index),

@@ -163,7 +163,9 @@ type Result struct {
 
 	// Metas holds committed transactions' metadata (for systems that
 	// expose it) for the serializability oracle; UnknownMetas holds the
-	// transactions whose outcome a timeout left undecided.
+	// transactions whose outcome a timeout left undecided. Both cover
+	// the whole run, warmup and drain included: a closed run's unmeasured
+	// commits are still history a later audit reads.
 	Metas        []*types.TxMeta
 	UnknownMetas []*types.TxMeta
 
@@ -171,9 +173,9 @@ type Result struct {
 	EquivocationsOK uint64  // equivocation attempts that actually diverged
 	FaultShare      float64 // faulty / (faulty + honest commits), the paper's Fig. 7 x-axis
 
-	// Basil systems only: replica admission refusals (all causes, and
-	// those of reputation suspects below the hard cap) and the
-	// Overloaded replies honest sessions consumed.
+	// Basil systems only, counted over this run: replica admission
+	// refusals (all causes, and those of reputation suspects below the
+	// hard cap) and the Overloaded replies honest sessions consumed.
 	Shed           uint64
 	ShedReputation uint64
 	Overloads      uint64
@@ -207,6 +209,29 @@ type driver struct {
 	bins                                  []atomic.Uint64
 	mu                                    sync.Mutex
 	metas, unknownMetas                   []*types.TxMeta
+	before                                admissionCounts // at the run's start
+}
+
+// admissionCounts are a Basil cluster's cumulative admission counters:
+// replica sheds (all causes, reputation suspects) and Overloaded replies
+// its sessions consumed.
+type admissionCounts struct{ shed, shedRep, overloads uint64 }
+
+func readAdmission(sys System) admissionCounts {
+	var a admissionCounts
+	bs, ok := sys.(*BasilSystem)
+	if !ok {
+		return a
+	}
+	for s := 0; s < bs.C.Shards(); s++ {
+		for i := 0; i < bs.C.ReplicaCount(); i++ {
+			st := &bs.C.Replica(s, i).Stats
+			a.shed += st.Shed.Load()
+			a.shedRep += st.ShedReputation.Load()
+		}
+	}
+	a.overloads = bs.Overloads()
+	return a
 }
 
 // Run is the load driver: it drives gen against sys under cfg's arrival
@@ -236,6 +261,7 @@ func Run(sys System, gen workload.Generator, cfg RunConfig) Result {
 		arrivals = make(chan job, cfg.MaxPending)
 	}
 	var sessions, byz sync.WaitGroup
+	d.before = readAdmission(sys)
 	d.start = time.Now()
 	for i := 0; i < cfg.Clients; i++ {
 		sess := sys.NewSession()
@@ -347,6 +373,8 @@ func (d *driver) execute(sess Session, rng *rand.Rand, j job) {
 		case err == nil:
 			if d.measuring.Load() {
 				d.committed(tx, j.due)
+			} else {
+				d.keepMeta(&d.metas, tx)
 			}
 			return
 		case errors.Is(err, workload.ErrWorkloadAbort):
@@ -357,8 +385,8 @@ func (d *driver) execute(sess Session, rng *rand.Rand, j job) {
 		case isTimeout(err):
 			if measuring {
 				d.unknowns.Add(1)
-				d.keepMeta(&d.unknownMetas, tx)
 			}
+			d.keepMeta(&d.unknownMetas, tx)
 			return
 		}
 		if d.open && attempt >= openMaxRetries {
@@ -465,16 +493,10 @@ func (d *driver) result(elapsed time.Duration) Result {
 	for i := range d.bins {
 		r.Bins[i] = d.bins[i].Load()
 	}
-	if bs, ok := d.sys.(*BasilSystem); ok {
-		for s := 0; s < bs.C.Shards(); s++ {
-			for i := 0; i < bs.C.ReplicaCount(); i++ {
-				st := &bs.C.Replica(s, i).Stats
-				r.Shed += st.Shed.Load()
-				r.ShedReputation += st.ShedReputation.Load()
-			}
-		}
-		r.Overloads = bs.Overloads()
-	}
+	after := readAdmission(d.sys)
+	r.Shed = after.shed - d.before.shed
+	r.ShedReputation = after.shedRep - d.before.shedRep
+	r.Overloads = after.overloads - d.before.overloads
 	return r
 }
 

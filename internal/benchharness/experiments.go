@@ -6,13 +6,11 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/wal"
 
 	"repro/basil"
 	"repro/internal/client"
@@ -538,57 +536,31 @@ func FigParallel(s Scale) Table {
 }
 
 // FigDurability is a reproduction-aid experiment not in the paper: it
-// sweeps the WAL group-commit window under concurrent appenders and
-// reports what durability actually costs per prepare — the fsync
-// amortization curve. One fsync retires every record appended inside a
-// window, so the per-append cost collapses as concurrency rises; the
-// row shape to look for is fsyncs/append well below 1 from 8 appenders
-// up. The final rows run a whole durable Basil cluster (every vote and
-// decision logged) against the in-memory baseline on the same workload.
+// runs a whole durable Basil cluster (every vote and decision logged
+// before the reply that externalizes it) against the in-memory baseline
+// on the same workload, and reports what the WAL's group commit makes
+// durability cost per record. The append-level amortization curve
+// across appender counts is internal/wal's TestWriteWALBench
+// (BENCH_wal.json).
 func FigDurability(s Scale) Table {
-	t := Table{Title: "Durability: WAL group-commit window sweep (8 appenders) + durable cluster",
-		Header: []string{"config", "window", "appends/s", "fsyncs/append"}}
-	const (
-		appenders = 8
-		total     = 4096
-	)
-	// Negative disables the window entirely (the no-batching baseline);
-	// zero would apply wal.DefaultFlushDelay.
-	for _, window := range []time.Duration{-1, 100 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond, time.Millisecond} {
-		dir, err := os.MkdirTemp("", "walbench")
-		if err != nil {
-			panic(fmt.Sprintf("benchharness: walbench tmpdir: %v", err))
-		}
-		perSec, fsyncsPer, err := walAppendSweep(dir, window, appenders, total)
-		//nolint:basilvet — bench temp dir: a failed cleanup leaks a tmpdir, nothing more, and surfacing it would obscure the sweep error below.
-		os.RemoveAll(dir)
-		if err != nil {
-			panic(fmt.Sprintf("benchharness: walbench: %v", err))
-		}
-		label := window.String()
-		if window < 0 {
-			label = "none"
-		}
-		t.Rows = append(t.Rows, []string{"wal append", label, f1(perSec), fmt.Sprintf("%.3f", fsyncsPer)})
-	}
-
-	// End to end: a durable cluster on the RW-U workload vs in-memory.
+	t := Table{Title: "Durability: durable vs in-memory cluster",
+		Header: []string{"config", "tput (tx/s)", "fsyncs/append"}}
 	// Several ingest workers per replica let one worker's group-commit
 	// wait overlap the next worker's append — on a single core this
-	// interleaving, not parallelism, is what fills the flush window.
+	// interleaving, not parallelism, is what forms the groups.
 	gen := s.ycsbRWU()
 	cfg := s.runCfg()
 	mem := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize, VerifyWorkers: 8})
 	r := Run(mem, gen, cfg)
 	mem.Close()
-	t.Rows = append(t.Rows, []string{"cluster in-memory", "-", f1(r.Throughput), "0"})
+	t.Rows = append(t.Rows, []string{"cluster in-memory", f1(r.Throughput), "0"})
 	dir, err := os.MkdirTemp("", "walcluster")
 	if err != nil {
 		panic(fmt.Sprintf("benchharness: walcluster tmpdir: %v", err))
 	}
 	defer os.RemoveAll(dir)
 	dur := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize, VerifyWorkers: 8,
-		DataDir: dir, WALFlushDelay: 200 * time.Microsecond})
+		DataDir: dir})
 	r2 := Run(dur, gen, cfg)
 	var appends, syncs uint64
 	for i := 0; i < dur.C.ReplicaCount(); i++ {
@@ -601,7 +573,7 @@ func FigDurability(s Scale) Table {
 	if appends > 0 {
 		per = fmt.Sprintf("%.3f", float64(syncs)/float64(appends))
 	}
-	t.Rows = append(t.Rows, []string{"cluster durable", "200µs", f1(r2.Throughput), per})
+	t.Rows = append(t.Rows, []string{"cluster durable", f1(r2.Throughput), per})
 	return t
 }
 
@@ -625,7 +597,7 @@ func FigCheckpoint(s Scale) Table {
 	}
 	defer os.RemoveAll(dir)
 	b := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize, VerifyWorkers: 8,
-		DataDir: dir, WALFlushDelay: 200 * time.Microsecond})
+		DataDir: dir})
 	defer b.Close()
 	Run(b, gen, s.runCfg())
 
@@ -650,39 +622,6 @@ func FigCheckpoint(s Scale) Table {
 	ckpt("checkpoint, watermark advanced (collects)", wm)
 	ckpt("steady-state checkpoint", wm)
 	return t
-}
-
-// walAppendSweep appends `total` vote-sized records split across
-// concurrent appenders and reports throughput and fsync amortization.
-func walAppendSweep(dir string, window time.Duration, appenders, total int) (perSec, fsyncsPerAppend float64, err error) {
-	l, _, err := wal.Open(wal.Options{Dir: dir, FlushDelay: window})
-	if err != nil {
-		return 0, 0, err
-	}
-	rec := make([]byte, 192)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < appenders; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < total/appenders; i++ {
-				if aerr := l.Append(rec); aerr != nil {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	st := l.StatsSnapshot()
-	if cerr := l.Close(); cerr != nil {
-		return 0, 0, cerr
-	}
-	if st.Appends == 0 {
-		return 0, 0, fmt.Errorf("no appends completed")
-	}
-	return float64(st.Appends) / elapsed.Seconds(), float64(st.Syncs) / float64(st.Appends), nil
 }
 
 // CommitRates reproduces the §6.1 prose numbers: fast-path rate and commit

@@ -47,8 +47,9 @@ const (
 
 // logVoteLocked durably appends t's fixed vote. Caller holds t.mu; the
 // group-commit wait happens under it, stalling only this transaction's
-// traffic for at most the flush window. Returns false (and mutes the
-// replica) if the record could not be made durable.
+// traffic for at most two fsyncs (the one in flight, then the one that
+// covers this record). Returns false (and mutes the replica) if the
+// record could not be made durable.
 func (r *Replica) logVoteLocked(t *txState, tc types.TraceContext) bool {
 	if r.wal == nil {
 		return true

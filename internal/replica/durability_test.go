@@ -18,14 +18,13 @@ func durableConfig(net transport.Network, dir string) Config {
 	reg := cryptoutil.NewRegistry(cryptoutil.SchemeEd25519, 6, 1)
 	return Config{
 		Shard: 0, Index: 0, F: 1,
-		DeltaMicros:   60_000_000,
-		BatchSize:     1,
-		Registry:      reg,
-		SignerID:      0,
-		SignerOf:      quorum.SignerOf(func(s, i int32) int32 { return i }),
-		Net:           net,
-		DataDir:       dir,
-		WALFlushDelay: 100 * time.Microsecond,
+		DeltaMicros: 60_000_000,
+		BatchSize:   1,
+		Registry:    reg,
+		SignerID:    0,
+		SignerOf:    quorum.SignerOf(func(s, i int32) int32 { return i }),
+		Net:         net,
+		DataDir:     dir,
 		// Tests that exercise the ST2 path inject decisions without
 		// building full vote tallies.
 		AllowUnvalidatedST2: true,

@@ -68,9 +68,6 @@ type Config struct {
 	// rebuilds its promises from it (Restore). Empty disables durability
 	// (the original in-memory behavior).
 	DataDir string
-	// WALFlushDelay is the WAL group-commit window: concurrent appenders
-	// inside one window share a single fsync. 0 uses the wal default.
-	WALFlushDelay time.Duration
 	// WALSyncDelay, if non-nil, is consulted before every WAL fsync and
 	// the returned duration slept out first — the chaos harness's
 	// slow-disk injection (see wal.Options.SyncDelay). Must be safe for
@@ -394,7 +391,6 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 		appendLat, syncLat, pruneFails := walMetrics(reg)
 		l, recov, err := wal.Open(wal.Options{
 			Dir:           dir,
-			FlushDelay:    cfg.WALFlushDelay,
 			SyncDelay:     cfg.WALSyncDelay,
 			AppendLatency: appendLat,
 			SyncLatency:   syncLat,

@@ -20,6 +20,7 @@ type JSONScenario struct {
 	Unknown uint64  `json:"unknown"`
 
 	ThroughputTxs float64  `json:"throughput_txs"`
+	CapacityTxs   float64  `json:"capacity_txs,omitempty"`
 	CalmP99Ms     float64  `json:"calm_p99_ms"`
 	StormP99Ms    float64  `json:"storm_p99_ms"`
 	RecoveryMs    float64  `json:"recovery_ms"`
@@ -46,6 +47,7 @@ func toJSON(r Result) JSONScenario {
 		Offered: r.Load.Offered, Commits: r.Load.Commits,
 		Dropped: r.Load.Dropped, Starved: r.Load.Starved, Unknown: r.Load.Unknowns,
 		ThroughputTxs: r.Load.Throughput,
+		CapacityTxs:   r.CapacityTxs,
 		CalmP99Ms:     r.Load.CalmP99Ms, StormP99Ms: r.Load.StormP99Ms,
 		RecoveryMs: r.RecoveryMs, FastPathShare: r.FastPathShare,
 		Sheds: r.Load.Shed, Overloads: r.Load.Overloads, SpamSent: r.Load.FaultyTxs,

@@ -23,6 +23,7 @@ type Result struct {
 	Seed int64
 
 	Load          benchharness.Result
+	CapacityTxs   float64 // the capacity probe's tx/s (Scenario.PeakFromCapacity), else 0
 	Unresolved    int
 	Audited       int
 	RecoveryMs    float64
@@ -110,6 +111,22 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 	sys := &benchharness.BasilSystem{C: cl, Label: sc.Name}
 	benchharness.Populate(sys, gen)
 
+	var checker verify.Checker
+	var probe benchharness.Result
+	if sc.PeakFromCapacity > 0 {
+		probe = benchharness.Run(sys, gen, benchharness.RunConfig{
+			Clients: load.Clients, Warmup: 500 * time.Millisecond, Measure: 2 * time.Second, Seed: seed,
+		})
+		if probe.Throughput <= 0 {
+			return Result{}, fmt.Errorf("scenario %s: capacity probe committed nothing", sc.Name)
+		}
+		scalePeak(load.Phases, sc.PeakFromCapacity*probe.Throughput)
+		// The probe's commits are history the final-read audit sees.
+		for _, m := range probe.Metas {
+			checker.Add(verify.FromMeta(m))
+		}
+	}
+
 	// The storm: chaos schedule over the open-loop run.
 	stopChaos := make(chan struct{})
 	var chaosWG sync.WaitGroup
@@ -134,12 +151,11 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 	// unknown that committed must count in the DSG. Unknowns can depend
 	// on each other, so the sweep repeats — finishing one transaction
 	// unblocks replicas deferring another's vote.
-	var checker verify.Checker
 	for _, m := range out.Metas {
 		checker.Add(verify.FromMeta(m))
 	}
 	resolver := cl.NewClient()
-	pending := out.UnknownMetas
+	pending := append(probe.UnknownMetas, out.UnknownMetas...)
 	for pass := 0; pass < 6 && len(pending) > 0; pass++ {
 		var next []*types.TxMeta
 		for _, meta := range pending {
@@ -170,6 +186,7 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 	res := Result{
 		Name: sc.Name, Desc: sc.Desc, Seed: seed,
 		Load:          out,
+		CapacityTxs:   probe.Throughput,
 		Unresolved:    len(pending),
 		Audited:       audited,
 		FastPathShare: sys.FastPathShare(),
@@ -188,6 +205,22 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 		tuning:     tn,
 	})
 	return res, nil
+}
+
+// scalePeak rescales every phase rate in place so the highest becomes
+// peak, keeping the profile's shape.
+func scalePeak(phases []benchharness.Phase, peak float64) {
+	var top float64
+	for _, p := range phases {
+		top = max(top, p.StartRate, p.EndRate)
+	}
+	if top <= 0 {
+		return
+	}
+	for i := range phases {
+		phases[i].StartRate *= peak / top
+		phases[i].EndRate *= peak / top
+	}
 }
 
 // auditReads runs read-only transactions over a key sample and adds the

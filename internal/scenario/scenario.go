@@ -82,7 +82,15 @@ type Scenario struct {
 	// spam that runs for the whole scenario in Load.Byz (see
 	// internal/benchharness/admission.go for why spam is write-only and
 	// paced).
-	Load   benchharness.RunConfig
+	Load benchharness.RunConfig
+	// PeakFromCapacity, if positive, makes the profile's rates relative
+	// to the cluster rather than to one host: before the load runs, a
+	// short closed-loop probe with Load.Clients sessions measures the
+	// same cluster's capacity, and every phase rate is rescaled so the
+	// highest one is PeakFromCapacity times it. Tuning.RateScale does not
+	// apply to such a profile; the probe already measures the build.
+	PeakFromCapacity float64
+
 	Events []Event
 	SLO    SLO
 }

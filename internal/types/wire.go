@@ -18,9 +18,12 @@ import (
 // the value. Slices carry a u32 count. All integers are big-endian.
 //
 // The decoder is defensive: every length is bounds-checked against the
-// remaining input, and certificate nesting (an ST1Reply can carry a
-// DecisionCert whose ShardCerts carry further ST1Replies) is capped so a
-// malicious peer cannot recurse the decoder off the stack.
+// remaining input, every element count against the remaining input
+// divided by the smallest encoding of one element (so a slice presized
+// to the count costs O(frame) however hostile the count), and
+// certificate nesting (an ST1Reply can carry a DecisionCert whose
+// ShardCerts carry further ST1Replies) is capped so a malicious peer
+// cannot recurse the decoder off the stack.
 
 // ErrWireNesting reports certificate nesting beyond maxWireDepth.
 var ErrWireNesting = errors.New("types: wire encoding nested too deep")
@@ -165,10 +168,7 @@ func DecodeMessage(b []byte) (any, []byte, error) {
 		msg = m
 	case MsgAbortRead:
 		m := &AbortRead{ClientID: d.u64(), Ts: d.ts()}
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			m.Keys = append(m.Keys, d.str())
-		}
+		m.Keys = decodeSlice(d, minStringWire, func(k *string) { *k = d.str() })
 		msg = m
 	case MsgST1:
 		m := &ST1Request{ReqID: d.u64(), ClientID: d.u64(),
@@ -176,20 +176,21 @@ func DecodeMessage(b []byte) (any, []byte, error) {
 		m.TC = d.traceTrailer()
 		msg = m
 	case MsgST1Reply:
-		msg = d.st1Reply(0)
+		r := new(ST1Reply)
+		d.st1Reply(r, 0)
+		msg = r
 	case MsgST2:
 		m := &ST2Request{ReqID: d.u64(), ClientID: d.u64(), TxID: d.txid()}
 		m.Meta = d.txMetaOpt()
 		m.Decision = Decision(d.u8())
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			m.Tallies = append(m.Tallies, d.voteTally(0))
-		}
+		m.Tallies = d.voteTallies()
 		m.View = d.u64()
 		m.TC = d.traceTrailer()
 		msg = m
 	case MsgST2Reply:
-		msg = d.st2Reply()
+		r := new(ST2Reply)
+		d.st2Reply(r)
+		msg = r
 	case MsgWriteback:
 		m := &WritebackRequest{ClientID: d.u64(), TxID: d.txid(),
 			Decision: Decision(d.u8())}
@@ -200,29 +201,22 @@ func DecodeMessage(b []byte) (any, []byte, error) {
 	case MsgInvokeFB:
 		m := &InvokeFB{ReqID: d.u64(), ClientID: d.u64(), TxID: d.txid()}
 		m.Meta = d.txMetaOpt()
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			m.ST2Rs = append(m.ST2Rs, *d.st2Reply())
-		}
+		m.ST2Rs = decodeSlice(d, minST2ReplyWire, d.st2Reply)
 		m.Decision = Decision(d.u8())
-		n = d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			m.Tallies = append(m.Tallies, d.voteTally(0))
-		}
+		m.Tallies = d.voteTallies()
 		m.TC = d.traceTrailer()
 		msg = m
 	case MsgOverloaded:
 		msg = &Overloaded{ReqID: d.u64(), ShardID: int32(d.u32()),
 			ReplicaID: int32(d.u32()), RetryAfterMicros: d.u64()}
 	case MsgElectFB:
-		msg = d.electFB()
+		e := new(ElectFB)
+		d.electFB(e)
+		msg = e
 	case MsgDecFB:
 		m := &DecFB{TxID: d.txid(), ShardID: int32(d.u32()),
 			LeaderID: int32(d.u32()), Decision: Decision(d.u8()), View: d.u64()}
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			m.Elects = append(m.Elects, *d.electFB())
-		}
+		m.Elects = decodeSlice(d, minElectFBWire, d.electFB)
 		m.Sig = d.signature()
 		msg = m
 	default:
@@ -411,17 +405,46 @@ func (d *decoder) u8() byte {
 
 func (d *decoder) bool() bool { return d.u8() != 0 }
 
-// count reads a u32 element count and sanity-bounds it against the
-// remaining input (every element occupies at least one byte), so a
-// hostile length prefix cannot drive a near-infinite decode loop.
-func (d *decoder) count() int {
+// count reads a u32 element count and bounds it by the remaining input
+// divided by minSize, the smallest encoding of one element: a count the
+// input cannot hold is ErrTruncated, so a hostile length prefix can
+// neither drive a near-infinite decode loop nor make a slice presized to
+// it larger than O(frame).
+func (d *decoder) count(minSize int) int {
 	n := int(d.u32())
-	if d.err == nil && n > len(d.b) {
+	if d.err == nil && n > len(d.b)/minSize {
 		d.err = ErrTruncated
 		return 0
 	}
 	return n
 }
+
+// decodeSlice reads a count bounded by minSize and decodes that many
+// elements in place into a slice of exactly that length (nil for zero).
+func decodeSlice[T any](d *decoder, minSize int, elem func(*T)) []T {
+	n := d.count(minSize)
+	if n == 0 {
+		return nil
+	}
+	s := make([]T, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		elem(&s[i])
+	}
+	return s
+}
+
+// Smallest wire encodings of the elements a count prefixes: every
+// optional field absent, every byte string empty — the encoding of the
+// zero value.
+var (
+	minStringWire    = 4
+	minHashWire      = 32
+	minST1ReplyWire  = len(appendST1Reply(nil, &ST1Reply{}))
+	minST2ReplyWire  = len(appendST2Reply(nil, &ST2Reply{}))
+	minVoteTallyWire = len(appendVoteTally(nil, &VoteTally{}))
+	minShardCertWire = len(appendShardCert(nil, &ShardCert{}))
+	minElectFBWire   = len(appendElectFB(nil, &ElectFB{}))
+)
 
 func (d *decoder) hash32() [32]byte { return [32]byte(d.txid()) }
 
@@ -432,11 +455,7 @@ func (d *decoder) signature() Signature {
 	s.Direct = d.bytes()
 	root := d.hash32()
 	rootSig := d.bytes()
-	var proof [][32]byte
-	n := d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		proof = append(proof, d.hash32())
-	}
+	proof := decodeSlice(d, minHashWire, func(h *[32]byte) { *h = d.hash32() })
 	index := d.u32()
 	if root != ([32]byte{}) || len(rootSig) > 0 || len(proof) > 0 || index != 0 {
 		s.Batch = &BatchProof{Root: root, RootSig: rootSig, Proof: proof, Index: index}
@@ -474,8 +493,11 @@ func (d *decoder) preparedRead() *PreparedRead {
 	return &PreparedRead{Value: d.bytes(), WriterID: d.txid(), WriterMeta: d.txMetaOpt()}
 }
 
-func (d *decoder) st1Reply(depth int) *ST1Reply {
-	r := &ST1Reply{ReqID: d.u64(), TxID: d.txid(),
+// st1Reply decodes one reply into r. Its evidence is copied to the heap
+// only when present, so a plain vote costs no allocation beyond its
+// signature bytes.
+func (d *decoder) st1Reply(r *ST1Reply, depth int) {
+	*r = ST1Reply{ReqID: d.u64(), TxID: d.txid(),
 		ShardID: int32(d.u32()), ReplicaID: int32(d.u32()), Vote: Vote(d.u8())}
 	var ev ST1Evidence
 	ev.Conflict = d.decisionCertOpt(depth)
@@ -484,48 +506,43 @@ func (d *decoder) st1Reply(depth int) *ST1Reply {
 	r.RPKind = RPKind(d.u8())
 	r.Decision = Decision(d.u8())
 	if d.u8() != 0 && d.err == nil {
-		ev.ST2R = d.st2Reply()
+		ev.ST2R = new(ST2Reply)
+		d.st2Reply(ev.ST2R)
 	}
 	ev.Cert = d.decisionCertOpt(depth)
 	ev.CertMeta = d.txMetaOpt()
 	if !ev.isZero() {
-		r.Ev = &ev
+		heap := ev
+		r.Ev = &heap
 	}
 	r.Sig = d.signature()
-	return r
 }
 
-func (d *decoder) st2Reply() *ST2Reply {
-	return &ST2Reply{ReqID: d.u64(), TxID: d.txid(),
+func (d *decoder) st2Reply(r *ST2Reply) {
+	*r = ST2Reply{ReqID: d.u64(), TxID: d.txid(),
 		ShardID: int32(d.u32()), ReplicaID: int32(d.u32()),
 		Decision: Decision(d.u8()), ViewDecision: d.u64(), ViewCurrent: d.u64(),
 		Sig: d.signature()}
 }
 
-func (d *decoder) voteTally(depth int) VoteTally {
-	t := VoteTally{TxID: d.txid(), ShardID: int32(d.u32()), Vote: Vote(d.u8())}
-	n := d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		t.Replies = append(t.Replies, *d.st1Reply(depth))
-	}
-	t.Conflict = d.decisionCertOpt(depth)
-	t.ConflictMeta = d.txMetaOpt()
-	return t
+// voteTallies decodes a top-level tally list (ST2 and InvokeFB).
+func (d *decoder) voteTallies() []VoteTally {
+	return decodeSlice(d, minVoteTallyWire, func(t *VoteTally) { d.voteTally(t, 0) })
 }
 
-func (d *decoder) shardCert(depth int) ShardCert {
-	c := ShardCert{ShardID: int32(d.u32()), Kind: ShardCertKind(d.u8()), Vote: Vote(d.u8())}
-	n := d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		c.ST1Rs = append(c.ST1Rs, *d.st1Reply(depth))
-	}
-	n = d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		c.ST2Rs = append(c.ST2Rs, *d.st2Reply())
-	}
+func (d *decoder) voteTally(t *VoteTally, depth int) {
+	*t = VoteTally{TxID: d.txid(), ShardID: int32(d.u32()), Vote: Vote(d.u8())}
+	t.Replies = decodeSlice(d, minST1ReplyWire, func(r *ST1Reply) { d.st1Reply(r, depth) })
+	t.Conflict = d.decisionCertOpt(depth)
+	t.ConflictMeta = d.txMetaOpt()
+}
+
+func (d *decoder) shardCert(c *ShardCert, depth int) {
+	*c = ShardCert{ShardID: int32(d.u32()), Kind: ShardCertKind(d.u8()), Vote: Vote(d.u8())}
+	c.ST1Rs = decodeSlice(d, minST1ReplyWire, func(r *ST1Reply) { d.st1Reply(r, depth) })
+	c.ST2Rs = decodeSlice(d, minST2ReplyWire, d.st2Reply)
 	c.Conflict = d.decisionCertOpt(depth)
 	c.ConflictMeta = d.txMetaOpt()
-	return c
 }
 
 func (d *decoder) decisionCertOpt(depth int) *DecisionCert {
@@ -537,15 +554,12 @@ func (d *decoder) decisionCertOpt(depth int) *DecisionCert {
 		return nil
 	}
 	c := &DecisionCert{TxID: d.txid(), Decision: Decision(d.u8())}
-	n := d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		c.Shards = append(c.Shards, d.shardCert(depth+1))
-	}
+	c.Shards = decodeSlice(d, minShardCertWire, func(sc *ShardCert) { d.shardCert(sc, depth+1) })
 	return c
 }
 
-func (d *decoder) electFB() *ElectFB {
-	return &ElectFB{TxID: d.txid(), ShardID: int32(d.u32()),
+func (d *decoder) electFB(e *ElectFB) {
+	*e = ElectFB{TxID: d.txid(), ShardID: int32(d.u32()),
 		ReplicaID: int32(d.u32()), Decision: Decision(d.u8()), View: d.u64(),
 		Sig: d.signature()}
 }

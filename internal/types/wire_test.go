@@ -2,10 +2,12 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -589,5 +591,79 @@ func TestST1ReplySize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(ST1Reply{}); got != 104 {
 		t.Fatalf("ST1Reply is %d bytes, want 104", got)
+	}
+}
+
+// fastCommitWriteback is a writeback carrying a fast-path commit
+// certificate of 6 ST1 replies (5f+1 at f=1) with direct signatures —
+// the certificate shape a replica keeps for every committed transaction.
+func fastCommitWriteback(w *wireRand) *WritebackRequest {
+	sc := ShardCert{ShardID: 0, Kind: CertST1Fast, Vote: VoteCommit}
+	id := w.txid()
+	for i := 0; i < 6; i++ {
+		sc.ST1Rs = append(sc.ST1Rs, ST1Reply{ReqID: w.r.Uint64(), TxID: id,
+			ReplicaID: int32(i), Vote: VoteCommit, Sig: w.sig(false)})
+	}
+	return &WritebackRequest{ClientID: 7, TxID: id, Decision: DecisionCommit,
+		Cert: &DecisionCert{TxID: id, Decision: DecisionCommit, Shards: []ShardCert{sc}}}
+}
+
+// TestWireDecodedCertSlicesExact pins the decode-side heap diet: a
+// decoded certificate's slices are presized to their wire count, so a
+// 6-reply fast-path certificate keeps exactly 6 replies of backing
+// array (append growth would leave capacity 8).
+func TestWireDecodedCertSlicesExact(t *testing.T) {
+	enc, err := EncodeMessage(fastCommitWriteback(newWireRand(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _, err := DecodeMessage(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := msg.(*WritebackRequest).Cert
+	if len(cert.Shards) != 1 || cap(cert.Shards) != 1 {
+		t.Fatalf("Shards len %d cap %d, want 1 and 1", len(cert.Shards), cap(cert.Shards))
+	}
+	if rs := cert.Shards[0].ST1Rs; len(rs) != 6 || cap(rs) != len(rs) {
+		t.Fatalf("ST1Rs len %d cap %d, want 6 and 6", len(rs), cap(rs))
+	}
+}
+
+// TestWireHostileCountBoundedAlloc patches the ST1-reply count of a
+// fast-path certificate to values the frame cannot hold. Decoding must
+// fail with ErrTruncated after allocating no more than a small multiple
+// of the frame: a slice presized to an unchecked count would allocate
+// the count times the reply size.
+func TestWireHostileCountBoundedAlloc(t *testing.T) {
+	enc, err := EncodeMessage(fastCommitWriteback(newWireRand(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tag, client id, tx id, decision; cert presence, tx id, decision,
+	// shard count; shard id, kind, vote — then the ST1-reply count.
+	const countAt = 1 + 8 + 32 + 1 + 1 + 32 + 1 + 4 + 4 + 1 + 1
+	if got := binary.BigEndian.Uint32(enc[countAt:]); got != 6 {
+		t.Fatalf("count field at %d reads %d, want 6: frame layout changed", countAt, got)
+	}
+	rest := len(enc) - (countAt + 4)
+	for _, count := range []uint32{1<<31 - 1, uint32(rest)} {
+		frame := bytes.Clone(enc)
+		binary.BigEndian.PutUint32(frame[countAt:], count)
+		if _, _, err := DecodeMessage(frame); err != ErrTruncated {
+			t.Fatalf("count %d: err %v, want ErrTruncated", count, err)
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			DecodeMessage(frame)
+		}
+		runtime.ReadMemStats(&after)
+		perDecode := (after.TotalAlloc - before.TotalAlloc) / runs
+		if limit := uint64(2 * len(frame)); perDecode > limit {
+			t.Fatalf("count %d: decode allocated %d B for a %d B frame (limit %d)",
+				count, perDecode, len(frame), limit)
+		}
 	}
 }

@@ -1,13 +1,13 @@
-package wal
+package wal_test
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/benchharness"
+	"repro/internal/wal"
 )
 
 // walBenchOut makes `go test -run TestWriteWALBench` write the
@@ -15,17 +15,16 @@ import (
 // trajectory in BENCH_wal.json). Empty = skipped.
 var walBenchOut = flag.String("walbench", "", "write the WAL group-commit benchmark results as JSON to this file")
 
-// benchAppend runs total appends of a prepare-sized record split across
+// voteRecord is roughly a vote record: tag+txid+vote+small meta.
+var voteRecord = make([]byte, 192)
+
+// benchAppend runs total appends of a vote-sized record split across
 // `appenders` goroutines against a fresh log, returning wall time and
 // the log's final counters.
-func benchAppend(dir string, window time.Duration, appenders, total int) (time.Duration, Stats, error) {
-	l, _, err := Open(Options{Dir: dir, FlushDelay: window})
+func benchAppend(dir string, appenders, total int) (time.Duration, wal.Stats, error) {
+	l, _, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
-		return 0, Stats{}, err
-	}
-	rec := make([]byte, 192) // roughly a vote record: tag+txid+vote+small meta
-	for i := range rec {
-		rec[i] = byte(i)
+		return 0, wal.Stats{}, err
 	}
 	per := total / appenders
 	var wg sync.WaitGroup
@@ -36,7 +35,7 @@ func benchAppend(dir string, window time.Duration, appenders, total int) (time.D
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := l.Append(rec); err != nil {
+				if err := l.Append(voteRecord); err != nil {
 					errs <- err
 					return
 				}
@@ -55,48 +54,31 @@ func benchAppend(dir string, window time.Duration, appenders, total int) (time.D
 	return elapsed, st, cerr
 }
 
-// BenchmarkWALAppend measures one durable append under concurrent
-// appenders sharing the group-commit window (`make bench`).
+// BenchmarkWALAppend measures one durable append under GOMAXPROCS
+// concurrent appenders sharing group commits (`make bench`).
 func BenchmarkWALAppend(b *testing.B) {
-	// A negative window disables group-commit batching (the baseline);
-	// zero would apply the package default.
-	for _, window := range []time.Duration{-1, 200 * time.Microsecond} {
-		b.Run(fmt.Sprintf("window=%v", windowLabel(window)), func(b *testing.B) {
-			l, _, err := Open(Options{Dir: b.TempDir(), FlushDelay: window})
-			if err != nil {
+	l, _, err := wal.Open(wal.Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := l.Append(voteRecord); err != nil {
 				b.Fatal(err)
 			}
-			defer l.Close()
-			rec := make([]byte, 192)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := l.Append(rec); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			st := l.StatsSnapshot()
-			if st.Appends > 0 {
-				b.ReportMetric(float64(st.Syncs)/float64(st.Appends), "fsyncs/append")
-			}
-		})
+		}
+	})
+	b.StopTimer()
+	if st := l.StatsSnapshot(); st.Appends > 0 {
+		b.ReportMetric(float64(st.Syncs)/float64(st.Appends), "fsyncs/append")
 	}
-}
-
-// windowLabel names a sweep point ("none" = batching disabled).
-func windowLabel(w time.Duration) string {
-	if w < 0 {
-		return "none"
-	}
-	return w.String()
 }
 
 // walBenchRow is one row of BENCH_wal.json.
 type walBenchRow struct {
-	Appenders       uint64  `json:"appenders"`
-	WindowMicros    int64   `json:"window_us"`
+	Appenders       int     `json:"appenders"`
 	Appends         uint64  `json:"appends"`
 	Fsyncs          uint64  `json:"fsyncs"`
 	FsyncsPerAppend float64 `json:"fsyncs_per_append"`
@@ -104,56 +86,40 @@ type walBenchRow struct {
 	UsPerAppend     float64 `json:"us_per_append"`
 }
 
-// TestWriteWALBench sweeps concurrency × group-commit window and records
-// the amortization curve as JSON. It also enforces the acceptance bar
-// in-line: at 8 concurrent appenders with a nonzero window, durability
-// must cost strictly less than one fsync per append. Skipped unless
-// -walbench names an output file.
+// TestWriteWALBench sweeps appender counts over 4096 vote-sized durable
+// appends and records the fsync amortization curve under the shared
+// BENCH_*.json envelope. It also enforces the acceptance bar in-line:
+// from 8 concurrent appenders up, durability must cost strictly less
+// than one fsync per append. Skipped unless -walbench names an output
+// file.
 func TestWriteWALBench(t *testing.T) {
 	if *walBenchOut == "" {
 		t.Skip("no -walbench output file given")
 	}
 	const total = 4096
 	var rows []walBenchRow
-	for _, appenders := range []int{1, 2, 8, 32} {
-		for _, window := range []time.Duration{-1, 200 * time.Microsecond, time.Millisecond} {
-			elapsed, st, err := benchAppend(t.TempDir(), window, appenders, total)
-			if err != nil {
-				t.Fatalf("appenders=%d window=%v: %v", appenders, window, err)
-			}
-			row := walBenchRow{
-				Appenders:       uint64(appenders),
-				WindowMicros:    max(window.Microseconds(), 0), // 0 = no window (baseline)
-				Appends:         st.Appends,
-				Fsyncs:          st.Syncs,
-				FsyncsPerAppend: float64(st.Syncs) / float64(st.Appends),
-				AppendsPerSec:   float64(st.Appends) / elapsed.Seconds(),
-				UsPerAppend:     float64(elapsed.Microseconds()) / float64(st.Appends),
-			}
-			rows = append(rows, row)
-			if appenders >= 8 && window > 0 && row.FsyncsPerAppend >= 1 {
-				t.Errorf("group commit failed to amortize: %d appenders, window %v: %.3f fsyncs/append",
-					appenders, window, row.FsyncsPerAppend)
-			}
-			t.Logf("appenders=%-2d window=%-6s %6.0f appends/s  %.3f fsyncs/append",
-				appenders, windowLabel(window), row.AppendsPerSec, row.FsyncsPerAppend)
+	for _, appenders := range []int{1, 8, 32} {
+		elapsed, st, err := benchAppend(t.TempDir(), appenders, total)
+		if err != nil {
+			t.Fatalf("appenders=%d: %v", appenders, err)
 		}
+		row := walBenchRow{
+			Appenders:       appenders,
+			Appends:         st.Appends,
+			Fsyncs:          st.Syncs,
+			FsyncsPerAppend: float64(st.Syncs) / float64(st.Appends),
+			AppendsPerSec:   float64(st.Appends) / elapsed.Seconds(),
+			UsPerAppend:     float64(elapsed.Microseconds()) / float64(st.Appends),
+		}
+		rows = append(rows, row)
+		if appenders >= 8 && row.FsyncsPerAppend >= 1 {
+			t.Errorf("group commit failed to amortize: %d appenders: %.3f fsyncs/append",
+				appenders, row.FsyncsPerAppend)
+		}
+		t.Logf("appenders=%-2d %6.0f appends/s  %.3f fsyncs/append",
+			appenders, row.AppendsPerSec, row.FsyncsPerAppend)
 	}
-	out := struct {
-		Benchmark string        `json:"benchmark"`
-		Workload  string        `json:"workload"`
-		Rows      []walBenchRow `json:"results"`
-	}{
-		Benchmark: "WALGroupCommit",
-		Workload:  "192-byte durable appends (vote-record shape), fixed 4096 total, split across concurrent appenders",
-		Rows:      rows,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*walBenchOut, data, 0o644); err != nil {
+	if err := benchharness.WriteRecord(*walBenchOut, "wal-group-commit", rows); err != nil {
 		t.Fatalf("write %s: %v", *walBenchOut, err)
 	}
 }

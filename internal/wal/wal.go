@@ -3,12 +3,15 @@
 // checkpoint files that bound both log and replay length.
 //
 // Group commit. Append blocks until the record is on disk, but the fsync
-// that makes it so is shared: a background flusher collects everything
-// appended inside one flush window (Options.FlushDelay, the same knob
-// shape as the replica's reply-signature BatchDelay) and retires the
-// whole batch with a single File.Sync. Durability therefore costs one
-// fsync amortized across every record that arrived in the window, which
-// is what makes logging each prepare affordable.
+// that makes it so is shared, with no background goroutine and no timed
+// window: an appender that finds no sync in flight becomes the leader,
+// yields the processor once so appenders already runnable can join, and
+// syncs everything written so far, outside the log mutex; appends that
+// arrive while it syncs write their frames and wait, and the first of
+// them to find the sync finished leads the next group. A lone appender
+// therefore pays exactly one fsync and no wait, and under concurrency
+// each fsync retires every record that arrived during the previous one
+// — the group size adapts to the device's sync latency by itself.
 //
 // Checkpoints. Checkpoint(snap) rotates to a fresh segment first and
 // builds the snapshot after, so the snapshot is guaranteed to cover every
@@ -35,6 +38,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -62,37 +66,26 @@ var ErrClosed = errors.New("wal: log closed")
 // a bad frame in a non-final segment, or an unreadable segment header.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
-// DefaultFlushDelay is the group-commit window applied when
-// Options.FlushDelay is zero.
-const DefaultFlushDelay = 200 * time.Microsecond
-
 // Options parameterizes Open.
 type Options struct {
 	// Dir is the log directory, created if missing.
 	Dir string
-	// FlushDelay is the group-commit window: how long the flusher waits
-	// after the first unsynced append before forcing the fsync, so
-	// concurrent appenders coalesce into one sync. 0 applies
-	// DefaultFlushDelay (200µs); negative disables the window — the
-	// flusher syncs as soon as it sees work (appends arriving while a
-	// sync is in flight still share the next one).
-	FlushDelay time.Duration
 	// SegmentBytes rotates to a new segment once the current one exceeds
 	// this size. Default 4 MiB.
 	SegmentBytes int64
 	// SyncDelay, if non-nil, is consulted before every group-commit fsync
-	// the flusher issues and the returned duration is slept out first —
-	// the chaos harness's slow-disk injection (internal/scenario). The
-	// sleep happens outside the log mutex, exactly where a slow device
-	// would stall: appenders in the window keep coalescing behind it, so
-	// an injected delay degrades append latency the same way a real
-	// degraded disk does. Must be safe for concurrent use; a zero or
-	// negative return injects nothing.
+	// a leader issues and the returned duration is slept out first — the
+	// chaos harness's slow-disk injection (internal/scenario). The sleep
+	// happens outside the log mutex, exactly where a slow device would
+	// stall: appenders arriving meanwhile keep coalescing behind it into
+	// the next group, so an injected delay degrades append latency the
+	// same way a real degraded disk does. Must be safe for concurrent
+	// use; a zero or negative return injects nothing.
 	SyncDelay func() time.Duration
 
 	// AppendLatency, if non-nil, records each successful Append's total
 	// latency (write + group-commit wait + fsync). SyncLatency records
-	// each fsync the flusher issues. PruneFailures counts checkpoint
+	// each group-commit fsync a leader issues. PruneFailures counts checkpoint
 	// prunes that could not remove superseded files (stale segments cost
 	// disk, not correctness — but silent accumulation fills disks). All
 	// are nil-safe no-ops when unset (see internal/metrics).
@@ -102,12 +95,6 @@ type Options struct {
 }
 
 func (o *Options) withDefaults() {
-	if o.FlushDelay == 0 {
-		o.FlushDelay = DefaultFlushDelay
-	}
-	if o.FlushDelay < 0 {
-		o.FlushDelay = 0
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
@@ -135,18 +122,19 @@ type Log struct {
 
 	// mu guards every field below — segment handle, generation counters,
 	// and group-commit state; appenders park on cond (which releases mu)
-	// while the flusher syncs.
+	// while a leader syncs.
 	mu   sync.Mutex
-	cond *sync.Cond // appenders wait for sync; the flusher waits for work
+	cond *sync.Cond // broadcast whenever a sync ends or the log fails
 	f    *os.File   // current segment
 	seq  uint64     // current segment sequence number
 	size int64
 
 	appended uint64 // generation: records written to the OS buffer
 	synced   uint64 // generation: records durably on disk
-	syncing  bool   // a flusher sync pass is in flight
+	syncing  bool   // a leader's sync is in flight (outside mu)
+	fences   int    // Checkpoints waiting to rotate; no appender leads meanwhile
 	syncErr  error  // sticky: first sync failure poisons the log
-	closed   bool
+	closed   bool   // Close has begun: no new appends, no new leaders
 
 	stats Stats
 }
@@ -205,13 +193,14 @@ func Open(opts Options) (*Log, *Recovered, error) {
 		}
 		l.f, l.seq, l.size = f, lastSeq, lastValid
 	}
-	go l.flusher()
 	return l, rec, nil
 }
 
 // Append writes one record and blocks until it (and everything appended
-// before it) is durable. Concurrent appenders share the flush window's
-// single fsync.
+// before it) is durable. If no sync is in flight the caller leads one
+// that covers every frame written so far; otherwise it waits for the
+// sync that ends next, and the first waiter still not covered by it
+// leads the following group.
 func (l *Log) Append(rec []byte) error {
 	var start time.Time
 	if l.opts.AppendLatency != nil {
@@ -238,15 +227,32 @@ func (l *Log) Append(rec []byte) error {
 	l.size += int64(len(frame))
 	l.appended++
 	gen := l.appended
-	l.cond.Broadcast() // wake the flusher
-	for l.synced < gen && l.syncErr == nil && !l.closed {
-		l.cond.Wait()
-	}
-	if l.syncErr != nil {
-		return l.syncErr
+	// Every wait ends: a leader's sync, a rotation's or Close's final
+	// sync covers gen, or one of them fails and sets syncErr.
+	for l.synced < gen && l.syncErr == nil {
+		if l.syncing || l.closed || l.fences > 0 {
+			l.cond.Wait()
+			continue
+		}
+		// No sync in flight: lead one. Yield once before fixing the
+		// group, so appenders that are already runnable (the replica's
+		// other ingest workers) write their frames into this sync
+		// instead of each leading one of their own: on a real disk that
+		// took a durable cluster from about one fsync per append to one
+		// per four. It is a yield, not a timed wait; a lone appender pays
+		// nothing for it.
+		l.syncing = true
+		l.mu.Unlock()
+		runtime.Gosched()
+		l.mu.Lock()
+		target, f := l.appended, l.f
+		l.mu.Unlock()
+		err := l.syncSegment(f)
+		l.mu.Lock()
+		l.publishSyncLocked(target, err)
 	}
 	if l.synced < gen {
-		return ErrClosed
+		return l.syncErr
 	}
 	l.stats.Appends++
 	if l.opts.AppendLatency != nil {
@@ -255,79 +261,50 @@ func (l *Log) Append(rec []byte) error {
 	return nil
 }
 
-// flusher is the group-commit loop: wait for unsynced appends, sleep out
-// the flush window so concurrent appenders pile in, then retire the whole
-// batch with one fsync.
-func (l *Log) flusher() {
-	for {
-		l.mu.Lock()
-		for l.appended == l.synced && !l.closed && l.syncErr == nil {
-			l.cond.Wait()
-		}
-		if (l.closed && l.appended == l.synced) || l.syncErr != nil {
-			l.mu.Unlock()
-			return
-		}
-		l.syncing = true
-		l.mu.Unlock()
-
-		if d := l.opts.FlushDelay; d > 0 {
+// syncSegment is a leader's fsync of f, with the slow-disk injection
+// and the latency histogram around it. Called without l.mu: appenders
+// arriving meanwhile write their frames and form the next group.
+func (l *Log) syncSegment(f *os.File) error {
+	var syncStart time.Time
+	if l.opts.SyncLatency != nil {
+		syncStart = time.Now()
+	}
+	if l.opts.SyncDelay != nil {
+		if d := l.opts.SyncDelay(); d > 0 {
 			time.Sleep(d)
 		}
-
-		l.mu.Lock()
-		if l.closed || l.syncErr != nil {
-			// Close (or a failure) retired the pending appends while this
-			// pass slept; the segment file may already be closed.
-			l.syncing = false
-			l.cond.Broadcast()
-			l.mu.Unlock()
-			return
-		}
-		target := l.appended
-		f := l.f
-		l.mu.Unlock()
-
-		var syncStart time.Time
-		if l.opts.SyncLatency != nil {
-			syncStart = time.Now()
-		}
-		if l.opts.SyncDelay != nil {
-			if d := l.opts.SyncDelay(); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		err := f.Sync()
-		if l.opts.SyncLatency != nil {
-			l.opts.SyncLatency.Since(syncStart)
-		}
-
-		l.mu.Lock()
-		l.syncing = false
-		if l.closed {
-			l.cond.Broadcast()
-			l.mu.Unlock()
-			return
-		}
-		if err != nil {
-			l.syncErr = err
-		} else if l.synced < target {
-			l.synced = target
-			l.stats.Syncs++
-		}
-		if l.size >= l.opts.SegmentBytes && l.syncErr == nil {
-			if err := l.rotateLocked(); err != nil {
-				l.syncErr = err
-			}
-		}
-		l.cond.Broadcast()
-		l.mu.Unlock()
 	}
+	err := f.Sync()
+	if l.opts.SyncLatency != nil {
+		l.opts.SyncLatency.Since(syncStart)
+	}
+	return err
 }
 
-// rotateLocked closes the current segment (syncing any frames the
-// flusher has not retired yet, and waking their appenders) and opens the
-// next one. Caller holds l.mu with no flusher sync pass in flight.
+// publishSyncLocked ends a leader's sync of every frame up to target:
+// it records the result, rotates a full segment and wakes every waiter.
+// Caller holds l.mu.
+func (l *Log) publishSyncLocked(target uint64, err error) {
+	l.syncing = false
+	if err != nil {
+		l.syncErr = err
+	} else if l.synced < target {
+		l.synced = target
+		l.stats.Syncs++
+	}
+	// Close (once this sync is out of its way) closes the segment
+	// itself; rotating here would race it.
+	if l.size >= l.opts.SegmentBytes && l.syncErr == nil && !l.closed {
+		if err := l.rotateLocked(); err != nil {
+			l.syncErr = err
+		}
+	}
+	l.cond.Broadcast()
+}
+
+// rotateLocked closes the current segment (syncing any frames no leader
+// has retired yet, and waking their appenders) and opens the next one.
+// Caller holds l.mu with no leader's sync in flight.
 func (l *Log) rotateLocked() error {
 	if l.appended != l.synced {
 		// Unsynced frames may not move between files; sync them first.
@@ -378,23 +355,34 @@ func (l *Log) openSegment() error {
 // (into the kept suffix) while the snapshot is built.
 func (l *Log) Checkpoint(snap func() []byte) error {
 	l.mu.Lock()
-	// A flusher sync pass holds a reference to the current segment file;
-	// rotating (closing it) under its feet would fail that sync.
-	for l.syncing && !l.closed && l.syncErr == nil {
+	// A leader's sync holds a reference to the current segment file;
+	// rotating (closing it) under its feet would fail that sync. The
+	// fence keeps waiters from leading a fresh sync while this waits, so
+	// a steady stream of appends cannot starve the rotation.
+	l.fences++
+	for l.syncing {
 		l.cond.Wait()
 	}
+	l.fences--
 	if l.closed {
+		l.cond.Broadcast()
 		l.mu.Unlock()
 		return ErrClosed
 	}
 	if l.syncErr != nil {
 		err := l.syncErr
+		l.cond.Broadcast()
 		l.mu.Unlock()
 		return err
 	}
-	if err := l.rotateLocked(); err != nil {
+	err := l.rotateLocked()
+	if err != nil {
 		l.syncErr = err
-		l.cond.Broadcast()
+	}
+	// Wake appenders held back by the fence (and any the rotation's sync
+	// retired).
+	l.cond.Broadcast()
+	if err != nil {
 		l.mu.Unlock()
 		return err
 	}
@@ -433,8 +421,9 @@ func (l *Log) Checkpoint(snap func() []byte) error {
 	return nil
 }
 
-// Close flushes and syncs everything appended, wakes all waiters, and
-// closes the files. Idempotent.
+// Close syncs everything appended, wakes all waiters, and closes the
+// files. Appends already waiting when it is called return nil once the
+// final sync covers them. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -442,8 +431,12 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	// Retire anything the flusher has not synced yet; in-flight Appends
-	// are woken either by this sync or by the closed flag.
+	// No new appends or leaders from here; wait out a leader's sync in
+	// flight (it holds the segment file), then retire what it did not
+	// cover.
+	for l.syncing {
+		l.cond.Wait()
+	}
 	var err error
 	if l.appended != l.synced && l.syncErr == nil {
 		//nolint:basilvet — intentional barrier: Close owns l.mu precisely to fence out new appenders while the final frames are made durable; shutdown-only path.

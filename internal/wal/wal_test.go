@@ -179,7 +179,7 @@ func TestWALCheckpointCoversConcurrentAppends(t *testing.T) {
 	// Appends racing a checkpoint must never be lost: each record ends up
 	// in the snapshot, in the kept suffix, or in both (idempotent replay).
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{FlushDelay: 50 * time.Microsecond})
+	l, _ := openT(t, dir, Options{})
 	var wg sync.WaitGroup
 	const n = 64
 	for w := 0; w < 4; w++ {
@@ -250,9 +250,12 @@ func mustRecover(t *testing.T, dir string) (*Log, *Recovered) {
 	return l, rec
 }
 
+// TestWALGroupCommitCoalescesSyncs holds every leader's fsync for 2ms
+// with SyncDelay, so the other appenders write their frames and pile up
+// behind it; the next leader's one fsync must retire all of them.
 func TestWALGroupCommitCoalescesSyncs(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{FlushDelay: 2 * time.Millisecond})
+	l, _ := openT(t, dir, Options{SyncDelay: func() time.Duration { return 2 * time.Millisecond }})
 	defer l.Close()
 	const (
 		appenders = 8
@@ -458,7 +461,7 @@ func TestWALCheckpointWithoutCutSegmentRefused(t *testing.T) {
 }
 
 // TestWALLatencyHistogramsRecordWhenEnabled is the regression guard for
-// the metrics-tax gating (basilvet BV005): Append and the flusher read
+// the metrics-tax gating (basilvet BV005): Append and the leader's sync read
 // the clock only when their histogram option is non-nil, and this test
 // pins the other side of that bargain — with live histograms wired in,
 // every successful Append is observed and at least one fsync is timed.
@@ -532,5 +535,107 @@ func TestWALSyncDelayInjection(t *testing.T) {
 	_, rec := openT(t, dir, Options{})
 	if len(rec.Records) != n {
 		t.Fatalf("recovered %d records, want %d", len(rec.Records), n)
+	}
+}
+
+// TestWALCloseDuringLeaderSync closes the log while a leader's fsync is
+// held in SyncDelay and the other appenders wait behind it. Close must
+// wait the leader out and wake every waiter: none hangs, each Append
+// returns nil or ErrClosed, and a reopen recovers every record whose
+// Append returned nil.
+func TestWALCloseDuringLeaderSync(t *testing.T) {
+	dir := t.TempDir()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	l, _ := openT(t, dir, Options{SyncDelay: func() time.Duration {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return 0
+	}})
+
+	const appenders = 8
+	type result struct {
+		rec []byte
+		err error
+	}
+	results := make(chan result, 16*appenders)
+	var wg sync.WaitGroup
+	for w := 0; w < appenders; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				rec := []byte(fmt.Sprintf("w%d-%04d", w, i))
+				err := l.Append(rec)
+				results <- result{rec, err}
+				if err != nil {
+					return
+				}
+			}
+		}()
+	}
+	<-entered // one leader's sync is held; the others queue behind it
+	waitFor(t, l, func() bool { return l.appended == appenders })
+
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	waitFor(t, l, func() bool { return l.closed })
+	close(release)
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("appenders still blocked 10s after Close")
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	close(results)
+
+	acked := make(map[string]bool)
+	for r := range results {
+		switch r.err {
+		case nil:
+			acked[string(r.rec)] = true
+		case ErrClosed:
+		default:
+			t.Fatalf("append %s: %v, want nil or ErrClosed", r.rec, r.err)
+		}
+	}
+	if len(acked) < appenders {
+		t.Fatalf("%d appends acknowledged, want at least the %d written before Close", len(acked), appenders)
+	}
+	_, rec := openT(t, dir, Options{})
+	recovered := make(map[string]bool)
+	for _, r := range rec.Records {
+		recovered[string(r)] = true
+	}
+	for r := range acked {
+		if !recovered[r] {
+			t.Fatalf("acknowledged record %s lost across Close and reopen", r)
+		}
+	}
+}
+
+// waitFor polls cond under l.mu until it holds, failing after 10s.
+func waitFor(t *testing.T, l *Log, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		l.mu.Lock()
+		ok := cond()
+		l.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 10s")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
