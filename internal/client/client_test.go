@@ -30,7 +30,7 @@ func TestMarkRecoveryDedupes(t *testing.T) {
 }
 
 func TestTallyClassificationHelpers(t *testing.T) {
-	tallies := newTallies([]int32{0, 1})
+	tallies := newTallies([]int32{0, 1}, 6)
 	if len(tallies) != 2 || tallies[0].shard != 0 || tallies[1].shard != 1 {
 		t.Fatal("tallies not initialized per shard")
 	}
@@ -43,6 +43,23 @@ func TestTallyClassificationHelpers(t *testing.T) {
 	}
 	if len(tallies[0].commits) != 1 || len(tallies[0].aborts) != 0 {
 		t.Fatal("vote misfiled")
+	}
+}
+
+// TestReplicaSetBeyond64: indices past the first word (shards of more
+// than 64 replicas) are tracked as exactly as the first 64.
+func TestReplicaSetBeyond64(t *testing.T) {
+	var s replicaSet
+	ids := []int32{0, 63, 64, 127, 200}
+	for _, i := range ids {
+		if !s.add(i) || s.add(i) || !s.has(i) {
+			t.Fatalf("index %d: add/duplicate/has wrong", i)
+		}
+	}
+	for _, i := range []int32{1, 62, 65, 128, 199, 201} {
+		if s.has(i) {
+			t.Fatalf("index %d reported present", i)
+		}
 	}
 }
 

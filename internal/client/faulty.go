@@ -59,7 +59,7 @@ func (c *Client) CommitFaulty(t *Txn, mode FaultMode) bool {
 	}
 
 	// Gather votes like a correct client would.
-	tallies := newTallies(meta.Shards)
+	tallies := newTallies(meta.Shards, c.qc.N())
 	res, err := c.collectVotes(id, tallies, ch, time.Now().Add(c.cfg.RetryTimeout), meta, t.depMetas, nil)
 	if err != nil || res.cert != nil {
 		return false // or already decided: nothing left to withhold

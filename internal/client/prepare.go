@@ -10,7 +10,7 @@ import (
 // shardTally accumulates one shard's stage-1 votes (paper §4.2 step 4).
 type shardTally struct {
 	shard        int32
-	seen         map[int32]bool
+	seen         replicaSet
 	commits      []types.ST1Reply
 	aborts       []types.ST1Reply
 	conflict     *types.DecisionCert
@@ -18,30 +18,63 @@ type shardTally struct {
 	conflictVote *types.ST1Reply
 	// blockers are prepared-but-undecided transactions replicas reported
 	// as the cause of abort votes; the client finishes them before
-	// retrying (§5 invariant).
+	// retrying (§5 invariant). Nil until the first one is reported.
 	blockers map[types.TxID]*types.TxMeta
 }
 
-func newTallies(shards []int32) map[int32]*shardTally {
+// newTallies returns one empty tally per shard of n replicas each.
+func newTallies(shards []int32, n int) map[int32]*shardTally {
 	m := make(map[int32]*shardTally, len(shards))
 	for _, s := range shards {
-		m[s] = &shardTally{shard: s, seen: make(map[int32]bool),
-			blockers: make(map[types.TxID]*types.TxMeta)}
+		m[s] = &shardTally{shard: s, commits: make([]types.ST1Reply, 0, n)}
 	}
 	return m
 }
 
-// add records a validated vote; returns false on duplicates.
+// add records a validated vote from a replica index already checked to
+// lie in the shard; returns false on duplicates.
 func (t *shardTally) add(r *types.ST1Reply) bool {
-	if t.seen[r.ReplicaID] {
+	if !t.seen.add(r.ReplicaID) {
 		return false
 	}
-	t.seen[r.ReplicaID] = true
 	if r.Vote == types.VoteCommit {
 		t.commits = append(t.commits, *r)
 	} else {
 		t.aborts = append(t.aborts, *r)
 	}
+	return true
+}
+
+// replicaSet is a set of replica indices, one bit each. Callers check an
+// index against the shard size before adding it.
+type replicaSet struct {
+	lo uint64   // indices 0-63
+	hi []uint64 // indices from 64 on, for shards of more than 64 replicas
+}
+
+// has reports whether replica index i (0 <= i) is in the set.
+func (s *replicaSet) has(i int32) bool {
+	if i < 64 {
+		return s.lo&(1<<i) != 0
+	}
+	k := int(i/64) - 1
+	return k < len(s.hi) && s.hi[k]&(1<<(i%64)) != 0
+}
+
+// add inserts replica index i (0 <= i) and reports whether it was absent.
+func (s *replicaSet) add(i int32) bool {
+	if s.has(i) {
+		return false
+	}
+	if i < 64 {
+		s.lo |= 1 << i
+		return true
+	}
+	k := int(i/64) - 1
+	for len(s.hi) <= k {
+		s.hi = append(s.hi, 0)
+	}
+	s.hi[k] |= 1 << (i % 64)
 	return true
 }
 
@@ -89,7 +122,7 @@ func (t *shardTally) toVoteTally(id types.TxID, qc quorum.Config) types.VoteTall
 // the reply advanced the tally.
 func (c *Client) acceptST1Reply(id types.TxID, tallies map[int32]*shardTally, r *types.ST1Reply) bool {
 	t := tallies[r.ShardID]
-	if t == nil || r.TxID != id || r.Vote == types.VoteNone {
+	if t == nil || r.TxID != id || r.Vote == types.VoteNone || r.ReplicaID < 0 || int(r.ReplicaID) >= c.qc.N() {
 		return false
 	}
 	if c.qv.VerifyST1Reply(r, id) != nil {
@@ -100,6 +133,9 @@ func (c *Client) acceptST1Reply(id types.TxID, tallies map[int32]*shardTally, r 
 	}
 	ev := r.Evidence()
 	if r.Vote == types.VoteAbort && ev.BlockedBy != nil && len(t.blockers) < 4 {
+		if t.blockers == nil {
+			t.blockers = make(map[types.TxID]*types.TxMeta)
+		}
 		t.blockers[ev.BlockedBy.ID()] = ev.BlockedBy
 	}
 	// Abort-with-conflict fast path (case 5): validate the embedded
@@ -183,7 +219,7 @@ func (c *Client) runPrepare(meta *types.TxMeta, depMetas map[types.TxID]*types.T
 		c.broadcastShard(s, st1)
 	}
 
-	tallies := newTallies(meta.Shards)
+	tallies := newTallies(meta.Shards, c.qc.N())
 	resend := func() {
 		// Rebroadcast only to shards that can still improve: settled
 		// tallies owe us nothing, and re-asking them is pure load.
@@ -428,7 +464,7 @@ func (c *Client) logDecision(meta *types.TxMeta, id types.TxID, res prepareResul
 func (c *Client) collectST2(id types.TxID, logShard int32, want types.Decision, ch chan any,
 	resend func()) (st2rs []types.ST2Reply, served *types.DecisionCert, err error) {
 	byKey := make(map[uint64][]types.ST2Reply) // viewDecision -> replies
-	seen := make(map[int32]bool)
+	var seen replicaSet
 	mismatch := false
 	retry := newOverloadRetry(c, resend)
 	defer retry.stop()
@@ -454,13 +490,13 @@ func (c *Client) collectST2(id types.TxID, logShard int32, want types.Decision, 
 			if !ok {
 				continue
 			}
-			if r.TxID != id || r.ShardID != logShard || seen[r.ReplicaID] {
+			if r.TxID != id || r.ShardID != logShard || r.ReplicaID < 0 || int(r.ReplicaID) >= c.qc.N() || seen.has(r.ReplicaID) {
 				continue
 			}
 			if c.qv.VerifyST2Reply(r, id) != nil {
 				continue
 			}
-			seen[r.ReplicaID] = true
+			seen.add(r.ReplicaID)
 			if r.Decision != want {
 				mismatch = true
 				continue

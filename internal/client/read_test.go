@@ -235,7 +235,7 @@ func (h *readHarness) commitCert(meta *types.TxMeta, forge bool) *types.Decision
 		sid := h.signerOf(0, j)
 		v.Sig = types.Signature{SignerID: sid, Direct: h.reg.Signer(sid).Sign(v.Payload())}
 		if forge {
-			v.Sig.Direct = bytes.Repeat([]byte{byte(j + 1)}, 64)
+			v.Sig.Direct = [64]byte(bytes.Repeat([]byte{byte(j + 1)}, 64))
 		}
 		sc.ST1Rs = append(sc.ST1Rs, v)
 	}

@@ -35,7 +35,7 @@ func (c *Client) FinishTransaction(meta *types.TxMeta) (types.Decision, *types.D
 		c.broadcastShard(s, rp)
 	}
 
-	tallies := newTallies(meta.Shards)
+	tallies := newTallies(meta.Shards, c.qc.N())
 	st2rs := make(map[int32]types.ST2Reply) // logging-shard replica -> latest signed view
 	divergent := false
 

@@ -199,7 +199,7 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 	)
 	deadline := time.NewTimer(c.cfg.PhaseTimeout)
 	defer deadline.Stop()
-	seen := make(map[int32]bool)
+	var seen replicaSet
 	for {
 		select {
 		case m := <-ch:
@@ -210,7 +210,7 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 				continue
 			}
 			rr, ok := m.(*types.ReadReply)
-			if !ok || rr.Key != key || seen[rr.ReplicaID] {
+			if !ok || rr.Key != key {
 				continue
 			}
 			// Every replica of every shard shares a valid MAC key with us,
@@ -219,10 +219,10 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 			// The key is that of SignerOf(shard, replica), so an index
 			// past the shard's last replica names a replica of another
 			// shard, whose reply would count as one more of this shard's.
-			if rr.ShardID != shard || rr.ReplicaID < 0 || int(rr.ReplicaID) >= c.qc.N() || !c.checkReadMAC(rr) {
+			if rr.ShardID != shard || rr.ReplicaID < 0 || int(rr.ReplicaID) >= c.qc.N() || seen.has(rr.ReplicaID) || !c.checkReadMAC(rr) {
 				continue
 			}
-			seen[rr.ReplicaID] = true
+			seen.add(rr.ReplicaID)
 			got++
 			if rr.Committed == nil && rr.Prepared == nil {
 				// Key absent at this replica: a vote for the empty

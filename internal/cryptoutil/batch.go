@@ -107,7 +107,7 @@ func (b *BatchSigner) flush(batch []pendingSig) {
 	}
 	tree := NewMerkleTree(payloads)
 	root := tree.Root()
-	var rootSig []byte
+	var rootSig [64]byte
 	if ds, ok := b.signer.(DigestSigner); ok {
 		rootSig = ds.SignDigest(root)
 	} else {
@@ -175,7 +175,7 @@ func NewSigVerifier(reg *Registry, cacheSize int) *SigVerifier {
 func (v *SigVerifier) CountChecks(c *atomic.Uint64) { v.checks = c }
 
 // verifyDigest runs one registry signature check, counting it.
-func (v *SigVerifier) verifyDigest(signer int32, d [32]byte, sig []byte) bool {
+func (v *SigVerifier) verifyDigest(signer int32, d [32]byte, sig [64]byte) bool {
 	if v.checks != nil {
 		v.checks.Add(1)
 	}

@@ -25,7 +25,7 @@ func TestSignVerify(t *testing.T) {
 			t.Fatal("tampered payload verified")
 		}
 	}
-	if reg.Verify(99, payload, []byte("junk")) {
+	if reg.Verify(99, payload, [64]byte{'j', 'u', 'n', 'k'}) {
 		t.Fatal("out-of-range signer verified")
 	}
 }
@@ -49,7 +49,7 @@ func TestNoSigScheme(t *testing.T) {
 	if !reg.Verify(7, []byte("whatever"), sig) {
 		t.Fatal("no-sig scheme must accept its tag")
 	}
-	if reg.Verify(7, []byte("x"), []byte("bogus!")) {
+	if reg.Verify(7, []byte("x"), [64]byte{0xA5}) {
 		t.Fatal("no-sig scheme must reject wrong tags")
 	}
 }

@@ -2,9 +2,9 @@ package cryptoutil
 
 import (
 	"crypto/ecdh"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"sync"
 
 	"repro/internal/types"
@@ -41,20 +41,57 @@ func deriveMACKey(shared, clientPub, replicaPub []byte) MACKey {
 	return k
 }
 
-// SumReadMAC returns the HMAC-SHA256 of rr's payload under k.
+// SumReadMAC returns the HMAC-SHA256 of rr's payload under k. It is
+// RFC 2104 spelled out over sha256.Sum256 — H(k⊕opad ‖ H(k⊕ipad ‖ payload))
+// with the 32-byte key zero-padded to the 64-byte block — because
+// crypto/hmac allocates two hash states per call and this runs once per
+// read reply on each side. The payload is encoded into a pooled buffer
+// that never leaves the call. The output is bit-identical to crypto/hmac
+// (FuzzReadMAC).
 func SumReadMAC(k *MACKey, rr *types.ReadReply) [32]byte {
-	m := hmac.New(sha256.New, k[:])
-	m.Write(rr.AppendPayload(nil))
-	var out [32]byte
-	m.Sum(out[:0])
-	return out
+	bp := macBufPool.Get().(*[]byte)
+	b := rr.AppendPayload(appendPaddedKey((*bp)[:0], k, hmacIpad))
+	inner := sha256.Sum256(b)
+	if cap(b) <= maxPooledMACBuf {
+		*bp = b
+		macBufPool.Put(bp)
+	}
+	var outer [sha256.BlockSize + sha256.Size]byte
+	o := append(appendPaddedKey(outer[:0], k, hmacOpad), inner[:]...)
+	return sha256.Sum256(o)
 }
+
+// appendPaddedKey appends k, zero-padded to one SHA-256 block and XORed
+// with pad, to b.
+func appendPaddedKey(b []byte, k *MACKey, pad byte) []byte {
+	for _, c := range k {
+		b = append(b, c^pad)
+	}
+	for range sha256.BlockSize - len(k) {
+		b = append(b, pad)
+	}
+	return b
+}
+
+// RFC 2104 pad bytes.
+const (
+	hmacIpad = 0x36
+	hmacOpad = 0x5c
+)
+
+// maxPooledMACBuf is the largest payload buffer returned to macBufPool; a
+// bigger one (a reply with an unusually large value) is left to the
+// collector rather than pinned.
+const maxPooledMACBuf = 4 << 10
+
+// macBufPool holds SumReadMAC's payload buffers.
+var macBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // CheckReadMAC reports, in constant time, whether rr carries the MAC of
 // its payload under k.
 func CheckReadMAC(k *MACKey, rr *types.ReadReply) bool {
 	want := SumReadMAC(k, rr)
-	return hmac.Equal(want[:], rr.MAC[:])
+	return subtle.ConstantTimeCompare(want[:], rr.MAC[:]) == 1
 }
 
 // ClientKeys is a client's ephemeral X25519 key pair plus the MAC keys it

@@ -110,13 +110,16 @@ func (p *VerifyPool) trySub(fn func()) bool {
 }
 
 // All evaluates task(0..n-1) and reports whether every call returned true.
-// Tasks should be small leaf checks (one signature each): they are spread
-// across the workers via the sub-task queue, anything the queue cannot
-// take immediately (or everything, once the pool is closed) runs inline on
-// the caller, and while waiting the caller drains other sub-tasks. All
-// therefore always completes without external capacity and never
-// deadlocks when invoked from a pool worker. After the first failure the
-// remaining tasks are skipped.
+// Tasks should be small leaf checks (one signature each). All submits one
+// helper per worker it may use (at most n-1) to the sub-task queue; each
+// helper, and then the caller, claims indices one at a time until none
+// are left, so the batch costs one helper closure however large it is.
+// Whatever the queue cannot take (everything, once the pool is closed)
+// the caller runs inline. When no index is left to claim, the caller
+// drains other sub-tasks and then waits only for indices already claimed,
+// which running goroutines are executing: All therefore always completes
+// without external capacity and never deadlocks when invoked from a pool
+// worker. After the first failure the remaining tasks are skipped.
 func (p *VerifyPool) All(n int, task func(i int) bool) bool {
 	switch {
 	case n <= 0:
@@ -124,37 +127,56 @@ func (p *VerifyPool) All(n int, task func(i int) bool) bool {
 	case n == 1:
 		return task(0)
 	}
-	var ok atomic.Bool
-	ok.Store(true)
-	run := func(i int) {
-		if ok.Load() && !task(i) {
-			ok.Store(false)
+	b := &allBatch{n: int64(n), task: task}
+	b.left.Store(int64(n))
+	b.pending.Add(n)
+	help := b.help
+	for range min(n-1, p.workers) {
+		if !p.trySub(help) {
+			break
 		}
 	}
-	doneCh := make(chan struct{}, n-1)
-	dispatched := 0
-	for i := 0; i < n-1; i++ {
-		i := i
-		if p.trySub(func() { run(i); doneCh <- struct{}{} }) {
-			dispatched++
-		} else {
-			run(i)
-		}
-	}
-	run(n - 1)
-	for dispatched > 0 {
+	b.help()
+	for b.left.Load() > 0 {
 		select {
-		case <-doneCh:
-			dispatched--
 		case fn := <-p.subTasks:
 			// Help with sub-task work (ours or another batch's) while
 			// waiting; sub-tasks are leaf checks, so this neither inverts
 			// latency nor nests unboundedly.
 			fn()
 			p.inflight.Done()
+		default:
+			b.pending.Wait()
 		}
 	}
-	return ok.Load()
+	return !b.failed.Load()
+}
+
+// allBatch is one All call's shared state.
+type allBatch struct {
+	n      int64
+	task   func(i int) bool
+	next   atomic.Int64 // next unclaimed index
+	failed atomic.Bool
+	// left counts the indices not yet finished; pending is the same count
+	// as a WaitGroup, for the caller to block on once it cannot help.
+	left    atomic.Int64
+	pending sync.WaitGroup
+}
+
+// help claims and runs indices until none are left.
+func (b *allBatch) help() {
+	for {
+		i := b.next.Add(1) - 1
+		if i >= b.n {
+			return
+		}
+		if !b.failed.Load() && !b.task(int(i)) {
+			b.failed.Store(true)
+		}
+		b.left.Add(-1)
+		b.pending.Done()
+	}
 }
 
 // Close stops accepting tasks, waits for every accepted task to finish,

@@ -41,6 +41,37 @@ func TestVerifyPoolAllFromWorker(t *testing.T) {
 	}
 }
 
+// TestVerifyPoolAllConcurrentBatches runs batches from several goroutines
+// at once, so helpers of one batch meet the others' queued helpers (and
+// their own stale ones): every batch must still report exactly its own
+// result, and a passing batch must run every task.
+func TestVerifyPoolAllConcurrentBatches(t *testing.T) {
+	p := NewVerifyPool(2)
+	defer p.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				bad := -1
+				if (g+round)%3 == 0 {
+					bad = (g * round) % 32
+				}
+				var ran atomic.Int64
+				ok := p.All(32, func(i int) bool { ran.Add(1); return i != bad })
+				if ok != (bad < 0) {
+					t.Errorf("goroutine %d round %d: All = %v with bad index %d", g, round, ok, bad)
+				}
+				if ok && ran.Load() != 32 {
+					t.Errorf("goroutine %d round %d: passing batch ran %d of 32 tasks", g, round, ran.Load())
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestVerifyPoolCloseDrains(t *testing.T) {
 	p := NewVerifyPool(2)
 	var ran atomic.Int64
@@ -95,7 +126,6 @@ func TestSigVerifierChecksEveryDirect(t *testing.T) {
 		t.Fatalf("3 verifications ran %d checks, want 3", checks.Load())
 	}
 	bad := sig
-	bad.Direct = append([]byte(nil), sig.Direct...)
 	bad.Direct[0] ^= 0xFF
 	if sv.Verify(payload, &bad) {
 		t.Fatal("corrupted signature accepted")

@@ -33,15 +33,15 @@ const (
 	// SchemeEd25519 signs SHA-256 payload digests with ed25519.
 	SchemeEd25519 Scheme = iota
 	// SchemeNone disables signatures entirely (Basil-NoProofs, Fig. 5a).
-	// Sign returns a fixed one-byte tag and Verify accepts it.
+	// Sign returns a fixed 64-byte tag and Verify accepts it.
 	SchemeNone
 )
 
 // Signer signs payload digests on behalf of one node.
 type Signer interface {
 	// Sign signs the payload (already domain-separated) and returns the
-	// signature bytes.
-	Sign(payload []byte) []byte
+	// signature.
+	Sign(payload []byte) [64]byte
 	// ID returns the signer's key-registry index.
 	ID() int32
 }
@@ -50,7 +50,7 @@ type Signer interface {
 type Verifier interface {
 	// Verify reports whether sig is a valid signature by signer over
 	// payload.
-	Verify(signer int32, payload, sig []byte) bool
+	Verify(signer int32, payload []byte, sig [64]byte) bool
 }
 
 // digest hashes a payload to the fixed-size value that is actually signed.
@@ -124,9 +124,9 @@ func (r *Registry) Signer(id int32) Signer {
 }
 
 // Verify reports whether sig is a valid signature by signer over payload.
-func (r *Registry) Verify(signer int32, payload, sig []byte) bool {
+func (r *Registry) Verify(signer int32, payload []byte, sig [64]byte) bool {
 	if r.scheme == SchemeNone {
-		return len(sig) == 1 && sig[0] == noSigTag
+		return sig == noSig
 	}
 	d := digest(payload)
 	return r.VerifyDigest(signer, d, sig)
@@ -134,14 +134,14 @@ func (r *Registry) Verify(signer int32, payload, sig []byte) bool {
 
 // VerifyDigest verifies a signature over an already-hashed digest (used for
 // Merkle batch roots, which are themselves hashes).
-func (r *Registry) VerifyDigest(signer int32, d [32]byte, sig []byte) bool {
+func (r *Registry) VerifyDigest(signer int32, d [32]byte, sig [64]byte) bool {
 	if r.scheme == SchemeNone {
-		return len(sig) == 1 && sig[0] == noSigTag
+		return sig == noSig
 	}
 	if signer < 0 || int(signer) >= len(r.keys) {
 		return false
 	}
-	return r.keys[signer].verify(&d, sig)
+	return r.keys[signer].verify(&d, sig[:])
 }
 
 type edSigner struct {
@@ -149,29 +149,32 @@ type edSigner struct {
 	priv ed25519.PrivateKey
 }
 
-func (s *edSigner) Sign(payload []byte) []byte {
-	d := digest(payload)
-	return ed25519.Sign(s.priv, d[:])
-}
+func (s *edSigner) Sign(payload []byte) [64]byte { return s.SignDigest(digest(payload)) }
 
 func (s *edSigner) ID() int32 { return s.id }
 
 // SignDigest signs an already-hashed digest.
-func (s *edSigner) SignDigest(d [32]byte) []byte { return ed25519.Sign(s.priv, d[:]) }
+func (s *edSigner) SignDigest(d [32]byte) [64]byte { return [64]byte(ed25519.Sign(s.priv, d[:])) }
 
 // DigestSigner is implemented by signers that can sign a precomputed
 // 32-byte digest directly (used for Merkle roots).
 type DigestSigner interface {
-	SignDigest(d [32]byte) []byte
+	SignDigest(d [32]byte) [64]byte
 }
 
-const noSigTag byte = 0xA5
+// noSig is the NoProofs scheme's signature: every byte 0xA5.
+var noSig = func() (t [64]byte) {
+	for i := range t {
+		t[i] = 0xA5
+	}
+	return t
+}()
 
 type noSigner struct{ id int32 }
 
-func (s noSigner) Sign([]byte) []byte         { return []byte{noSigTag} }
-func (s noSigner) SignDigest([32]byte) []byte { return []byte{noSigTag} }
-func (s noSigner) ID() int32                  { return s.id }
+func (s noSigner) Sign([]byte) [64]byte         { return noSig }
+func (s noSigner) SignDigest([32]byte) [64]byte { return noSig }
+func (s noSigner) ID() int32                    { return s.id }
 
 var _ DigestSigner = noSigner{}
 var _ DigestSigner = (*edSigner)(nil)

@@ -71,7 +71,7 @@ type qc struct {
 	Height uint64
 	Block  [32]byte
 	Voters []int32
-	Sigs   [][]byte
+	Sigs   [][64]byte
 }
 
 func votePayload(height uint64, block [32]byte, replica int32) []byte {
@@ -86,14 +86,14 @@ func votePayload(height uint64, block [32]byte, replica int32) []byte {
 type proposal struct {
 	Node     *node
 	Proposer int32
-	Sig      []byte
+	Sig      [64]byte
 }
 
 type vote struct {
 	Height  uint64
 	Block   [32]byte
 	Replica int32
-	Sig     []byte
+	Sig     [64]byte
 }
 
 type submitMsg struct{ Cmd smr.Command }
@@ -112,7 +112,7 @@ type Replica struct {
 	highQC   *qc
 	height   uint64 // last proposed/observed height
 	lastVote uint64
-	votes    map[[32]byte]map[int32][]byte
+	votes    map[[32]byte]map[int32][64]byte
 	execHt   uint64
 	maxCmdHt uint64 // highest height of a known non-empty block
 	execQ    []*smr.Block
@@ -141,7 +141,7 @@ func NewReplica(cfg Config, index int32) *Replica {
 		addr:   transport.ReplicaAddr(cfg.Shard, index),
 		signer: cfg.Registry.Signer(cfg.SignerOf(cfg.Shard, index)),
 		nodes:  make(map[[32]byte]*node),
-		votes:  make(map[[32]byte]map[int32][]byte),
+		votes:  make(map[[32]byte]map[int32][64]byte),
 		pool:   make(map[[32]byte]smr.Command),
 	}
 	g := &node{Height: 0}
@@ -373,7 +373,7 @@ func (r *Replica) onVote(m *vote) {
 	r.mu.Lock()
 	byReplica := r.votes[m.Block]
 	if byReplica == nil {
-		byReplica = make(map[int32][]byte)
+		byReplica = make(map[int32][64]byte)
 		r.votes[m.Block] = byReplica
 	}
 	byReplica[m.Replica] = m.Sig

@@ -44,7 +44,7 @@ func (c Config) Quorum() int { return 2*c.F + 1 }
 type prePrepare struct {
 	View  uint64
 	Block *smr.Block
-	Sig   []byte
+	Sig   [64]byte
 }
 
 type prepare struct {
@@ -52,7 +52,7 @@ type prepare struct {
 	Seq     uint64
 	Digest  [32]byte
 	Replica int32
-	Sig     []byte
+	Sig     [64]byte
 }
 
 type commit struct {
@@ -60,7 +60,7 @@ type commit struct {
 	Seq     uint64
 	Digest  [32]byte
 	Replica int32
-	Sig     []byte
+	Sig     [64]byte
 }
 
 type submitMsg struct {

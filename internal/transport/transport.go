@@ -106,9 +106,14 @@ type Network interface {
 // traffic wants, where a Byzantine client spamming signed requests must
 // hit a wall here rather than grow the heap.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []envelope
+	mu   sync.Mutex
+	cond *sync.Cond
+	// buf is a ring holding n envelopes from head on; it doubles when
+	// full and pop clears each slot it empties, so a delivered message is
+	// not kept reachable by the queue.
+	buf    []envelope
+	head   int
+	n      int
 	cap    int // 0 = unbounded
 	closed bool
 }
@@ -133,28 +138,42 @@ func newBoundedMailbox(cap int) *mailbox {
 // types.NeverShed names.
 func (m *mailbox) push(e envelope) bool {
 	m.mu.Lock()
-	if m.closed || (m.cap > 0 && len(m.queue) >= m.cap && !types.NeverShed(e.msg)) {
+	if m.closed || (m.cap > 0 && m.n >= m.cap && !types.NeverShed(e.msg)) {
 		m.mu.Unlock()
 		return false
 	}
-	m.queue = append(m.queue, e)
+	if m.n == len(m.buf) {
+		m.grow()
+	}
+	m.buf[(m.head+m.n)%len(m.buf)] = e
+	m.n++
 	m.cond.Signal()
 	m.mu.Unlock()
 	return true
+}
+
+// grow doubles the ring, unwrapping it to start at index 0.
+func (m *mailbox) grow() {
+	buf := make([]envelope, max(16, 2*len(m.buf)))
+	k := copy(buf, m.buf[m.head:])
+	copy(buf[k:], m.buf[:m.head])
+	m.buf, m.head = buf, 0
 }
 
 // pop blocks until a message is available or the mailbox closes.
 func (m *mailbox) pop() (envelope, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
+	for m.n == 0 && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.queue) == 0 {
+	if m.n == 0 {
 		return envelope{}, false
 	}
-	e := m.queue[0]
-	m.queue = m.queue[1:]
+	e := m.buf[m.head]
+	m.buf[m.head] = envelope{}
+	m.head = (m.head + 1) % len(m.buf)
+	m.n--
 	return e, true
 }
 

@@ -33,11 +33,14 @@ const (
 // is populated. SignerID is the replica's global key-registry index.
 type Signature struct {
 	SignerID int32
-	// Direct is an ed25519 signature over the payload digest.
-	Direct []byte
+	// Direct is an ed25519 signature over the payload digest, held inline:
+	// a certificate keeps one per reply, so a separate allocation each
+	// would double the certificate's heap objects. Zero for a batched
+	// signature.
+	Direct [64]byte
 	// Batch is the Merkle-batched form (paper §4.4), nil for a direct
 	// signature. It sits behind a pointer so the common direct signature
-	// does not carry its 80 bytes.
+	// does not carry its 128 bytes.
 	Batch *BatchProof
 }
 
@@ -45,13 +48,13 @@ type Signature struct {
 // is proven against Root by Proof/Index, and RootSig signs Root.
 type BatchProof struct {
 	Root    [32]byte
-	RootSig []byte
+	RootSig [64]byte
 	Proof   [][32]byte
 	Index   uint32
 }
 
 // IsBatched reports whether the signature uses the Merkle-batched form.
-func (s *Signature) IsBatched() bool { return s.Batch != nil && len(s.Batch.RootSig) > 0 }
+func (s *Signature) IsBatched() bool { return s.Batch != nil }
 
 // domain tags keep signature payloads for different message kinds disjoint.
 const (

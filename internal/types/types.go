@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 )
 
 // Timestamp is the MVTSO transaction timestamp (Time, ClientID). Clients
@@ -158,9 +159,28 @@ type TxMeta struct {
 }
 
 // ID computes the transaction id: SHA-256 over the canonical encoding.
+// The id is recomputed, not cached: in-process the same TxMeta pointer
+// reaches every replica, and its creator may still change it after
+// hashing. The encoding goes through a pooled scratch buffer that never
+// leaves this call, so hashing allocates nothing.
 func (m *TxMeta) ID() TxID {
-	return TxID(sha256.Sum256(m.AppendCanonical(nil)))
+	bp := idBufPool.Get().(*[]byte)
+	b := m.AppendCanonical((*bp)[:0])
+	id := TxID(sha256.Sum256(b))
+	if cap(b) <= maxPooledIDBuf {
+		*bp = b
+		idBufPool.Put(bp)
+	}
+	return id
 }
+
+// maxPooledIDBuf is the largest encode buffer returned to idBufPool; a
+// bigger one (an unusually large transaction) is left to the collector
+// rather than pinned.
+const maxPooledIDBuf = 4 << 10
+
+// idBufPool holds ID's encode buffers.
+var idBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // ReadsKey reports whether the read set contains key, returning the version.
 func (m *TxMeta) ReadsKey(key string) (Timestamp, bool) {

@@ -256,27 +256,29 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// appendSignature writes both forms' fields; a direct signature's nil
-// Batch encodes as the zero batched fields, so the bytes do not depend on
-// the in-memory layout.
+// appendSignature writes both forms' fields. The form not in use encodes
+// as empty: a direct signature as the zero batched fields and a batched
+// one as an empty Direct, so the bytes do not depend on the in-memory
+// layout.
 func appendSignature(b []byte, s *Signature) []byte {
 	b = appendU32(b, uint32(s.SignerID))
-	b = appendBytes(b, s.Direct)
 	bp := s.Batch
 	if bp == nil {
-		bp = &noBatch
+		b = appendBytes(b, s.Direct[:])
+		b = append(b, make([]byte, 32)...)
+		b = appendU32(b, 0) // RootSig
+		b = appendU32(b, 0) // Proof
+		return appendU32(b, 0)
 	}
+	b = appendU32(b, 0) // Direct
 	b = append(b, bp.Root[:]...)
-	b = appendBytes(b, bp.RootSig)
+	b = appendBytes(b, bp.RootSig[:])
 	b = appendU32(b, uint32(len(bp.Proof)))
 	for _, p := range bp.Proof {
 		b = append(b, p[:]...)
 	}
 	return appendU32(b, bp.Index)
 }
-
-// noBatch is the all-zero batched form a direct signature encodes.
-var noBatch BatchProof
 
 func appendTxMetaOpt(b []byte, m *TxMeta) []byte {
 	if m == nil {
@@ -449,18 +451,52 @@ var (
 func (d *decoder) hash32() [32]byte { return [32]byte(d.txid()) }
 
 // signature decodes a Signature, leaving Batch nil when every batched
-// field is zero, the encoding of a direct signature.
+// field is zero, the encoding of a direct signature. A direct signature
+// must be exactly 64 bytes and a batched one must carry a 64-byte root
+// signature and an empty Direct; anything else is malformed.
 func (d *decoder) signature() Signature {
 	s := Signature{SignerID: int32(d.u32())}
-	s.Direct = d.bytes()
+	direct := d.sig64()
 	root := d.hash32()
-	rootSig := d.bytes()
+	rootSig := d.sig64()
 	proof := decodeSlice(d, minHashWire, func(h *[32]byte) { *h = d.hash32() })
 	index := d.u32()
-	if root != ([32]byte{}) || len(rootSig) > 0 || len(proof) > 0 || index != 0 {
-		s.Batch = &BatchProof{Root: root, RootSig: rootSig, Proof: proof, Index: index}
+	if d.err != nil {
+		return Signature{}
+	}
+	switch {
+	case direct != nil && rootSig == nil && root == ([32]byte{}) && len(proof) == 0 && index == 0:
+		s.Direct = *direct
+	case direct == nil && rootSig != nil:
+		s.Batch = &BatchProof{Root: root, RootSig: *rootSig, Proof: proof, Index: index}
+	default:
+		d.err = ErrMalformedSig
 	}
 	return s
+}
+
+// ErrMalformedSig reports a signature whose encoding is neither a 64-byte
+// direct signature nor a batched one with a 64-byte root signature.
+var ErrMalformedSig = errors.New("types: malformed signature")
+
+// sig64 decodes a length-prefixed signature field: nil when empty, the 64
+// bytes in place when exactly 64 long, and an error for any other length.
+func (d *decoder) sig64() *[64]byte {
+	n := d.u32()
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	if n != 64 {
+		d.err = ErrMalformedSig
+		return nil
+	}
+	if len(d.b) < 64 {
+		d.err = ErrTruncated
+		return nil
+	}
+	v := (*[64]byte)(d.b)
+	d.b = d.b[64:]
+	return v
 }
 
 func (d *decoder) txMetaOpt() *TxMeta {

@@ -43,12 +43,12 @@ func (w *wireRand) ts() Timestamp {
 func (w *wireRand) sig(batched bool) Signature {
 	s := Signature{SignerID: int32(w.r.Intn(64))}
 	if !batched {
-		s.Direct = w.bytes(64)
+		w.r.Read(s.Direct[:])
 		return s
 	}
 	s.Batch = &BatchProof{}
 	s.Batch.Root = w.hash()
-	s.Batch.RootSig = w.bytes(64)
+	w.r.Read(s.Batch.RootSig[:])
 	s.Batch.Proof = [][32]byte{w.hash(), w.hash()}
 	s.Batch.Index = w.r.Uint32()
 	return s
@@ -372,10 +372,15 @@ func TestWireSignatureBytesPinned(t *testing.T) {
 		sig  Signature
 		want string
 	}{
-		{Signature{SignerID: 3, Direct: []byte{1, 2, 3, 4}},
-			"0000000300000004010203040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-		{Signature{SignerID: 5, Batch: &BatchProof{Root: [32]byte{9, 8, 7}, RootSig: []byte{6, 5}, Proof: [][32]byte{{1}, {2, 2}}, Index: 7}},
-			"00000005000000000908070000000000000000000000000000000000000000000000000000000000000000020605000000020100000000000000000000000000000000000000000000000000000000000000020200000000000000000000000000000000000000000000000000000000000000000007"},
+		{Signature{SignerID: 3, Direct: sig64(1, 2, 3, 4)},
+			"000000030000004001020304000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"0000000000000000000000000000000000000000"},
+		{Signature{SignerID: 5, Batch: &BatchProof{Root: [32]byte{9, 8, 7}, RootSig: sig64(6, 5), Proof: [][32]byte{{1}, {2, 2}}, Index: 7}},
+			"000000050000000009080700000000000000000000000000000000000000000000000000000000000000004006050000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000020100000000000000000000000000000000000000000000000000000000000000" +
+				"020200000000000000000000000000000000000000000000000000000000000000000007"},
 	}
 	for _, c := range cases {
 		enc := appendSignature(nil, &c.sig)
@@ -390,6 +395,34 @@ func TestWireSignatureBytesPinned(t *testing.T) {
 		if got.Batch != nil && !reflect.DeepEqual(*got.Batch, *c.sig.Batch) {
 			t.Fatalf("decoded batch %+v, want %+v", *got.Batch, *c.sig.Batch)
 		}
+	}
+}
+
+// TestWireSignatureRejectsBadLengths: a direct signature of any length
+// but 64, a batched one whose root signature is not 64 bytes, and an
+// encoding that fills both forms are malformed.
+func TestWireSignatureRejectsBadLengths(t *testing.T) {
+	zeroBatch := func(b []byte) []byte {
+		b = append(b, make([]byte, 32)...)
+		return appendU32(appendU32(appendU32(b, 0), 0), 0)
+	}
+	cases := map[string][]byte{
+		"empty direct":   zeroBatch(appendBytes(appendU32(nil, 1), nil)),
+		"short direct":   zeroBatch(appendBytes(appendU32(nil, 1), make([]byte, 63))),
+		"long direct":    zeroBatch(appendBytes(appendU32(nil, 1), make([]byte, 65))),
+		"short root sig": appendU32(appendU32(appendBytes(append(appendBytes(appendU32(nil, 1), nil), make([]byte, 32)...), make([]byte, 2)), 0), 0),
+		"both forms":     appendU32(appendU32(appendBytes(append(appendBytes(appendU32(nil, 1), make([]byte, 64)), make([]byte, 32)...), make([]byte, 64)), 0), 0),
+	}
+	for name, enc := range cases {
+		d := &decoder{b: enc}
+		d.signature()
+		if d.err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	direct := appendSignature(nil, &Signature{SignerID: 1, Direct: sig64(1)})
+	if d := (&decoder{b: direct}); d.signature().Direct != sig64(1) || d.err != nil {
+		t.Fatalf("valid direct signature: err %v", d.err)
 	}
 }
 
@@ -452,6 +485,12 @@ func BenchmarkWireCodec(b *testing.B) {
 
 // pinMeta, pinVote and pinCert build the fixed values the ST1Reply byte
 // pins encode.
+
+// sig64 returns a 64-byte signature starting with b, zero after.
+func sig64(b ...byte) (s [64]byte) {
+	copy(s[:], b)
+	return s
+}
 func pinMeta(n byte) *TxMeta {
 	return &TxMeta{Timestamp: Timestamp{Time: uint64(n), ClientID: 2},
 		ReadSet:  []ReadEntry{{Key: "r", Version: Timestamp{Time: 1, ClientID: 1}}},
@@ -460,7 +499,7 @@ func pinMeta(n byte) *TxMeta {
 
 func pinVote() ST1Reply {
 	return ST1Reply{ReqID: 7, TxID: TxID{1, 2, 3}, ShardID: 1, ReplicaID: 4, Vote: VoteCommit,
-		Sig: Signature{SignerID: 10, Direct: []byte{0xAA, 0xBB}}}
+		Sig: Signature{SignerID: 10, Direct: sig64(0xAA, 0xBB)}}
 }
 
 func pinCert() *DecisionCert {
@@ -486,7 +525,7 @@ func TestWireST1ReplyBytesPinned(t *testing.T) {
 	rpDec.Decision = DecisionAbort
 	rpDec.Ev = &ST1Evidence{ST2R: &ST2Reply{ReqID: 3, TxID: TxID{1, 2, 3}, ShardID: 1, ReplicaID: 4,
 		Decision: DecisionAbort, ViewDecision: 1, ViewCurrent: 2,
-		Sig: Signature{SignerID: 10, Batch: &BatchProof{Root: [32]byte{4}, RootSig: []byte{7}, Proof: [][32]byte{{5}}, Index: 1}}}}
+		Sig: Signature{SignerID: 10, Batch: &BatchProof{Root: [32]byte{4}, RootSig: sig64(7), Proof: [][32]byte{{5}}, Index: 1}}}}
 	cases := []struct {
 		name string
 		r    ST1Reply
@@ -494,34 +533,43 @@ func TestWireST1ReplyBytesPinned(t *testing.T) {
 	}{
 		{"plain vote", vote,
 			"040000000000000007010203000000000000000000000000000000000000000000000000000000000000000001000000" +
-				"040100000000000000000000000a00000002aabb00000000000000000000000000000000000000000000000000000000" +
-				"00000000000000000000000000000000"},
+				"040100000000000000000000000a00000040aabb00000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000"},
 		{"conflict abort", conflict,
 			"040000000000000007010203000000000000000000000000000000000000000000000000000000000000000001000000" +
 				"040201090000000000000000000000000000000000000000000000000000000000000001000000010000000101010000" +
 				"000100000000000000070102030000000000000000000000000000000000000000000000000000000000000000010000" +
-				"00040100000000000000000000000a00000002aabb000000000000000000000000000000000000000000000000000000" +
-				"000000000000000000000000000000000000000000000001000000000000000500000000000000020000000100000001" +
-				"720000000000000001000000000000000100000001000000016b00000001050000000000000001000000000100000000" +
-				"0000000600000000000000020000000100000001720000000000000001000000000000000100000001000000016b0000" +
-				"00010600000000000000010000000000000000000000000a00000002aabb000000000000000000000000000000000000" +
-				"0000000000000000000000000000000000000000000000000000"},
+				"00040100000000000000000000000a00000040aabb000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000100000000000000050000" +
+				"0000000000020000000100000001720000000000000001000000000000000100000001000000016b0000000105000000" +
+				"000000000100000000010000000000000006000000000000000200000001000000017200000000000000010000000000" +
+				"00000100000001000000016b000000010600000000000000010000000000000000000000000a00000040aabb00000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"000000000000"},
 		{"rp certificate", rpCert,
 			"040000000000000007010203000000000000000000000000000000000000000000000000000000000000000001000000" +
 				"040100000003000001090000000000000000000000000000000000000000000000000000000000000001000000010000" +
 				"000101010000000100000000000000070102030000000000000000000000000000000000000000000000000000000000" +
-				"00000001000000040100000000000000000000000a00000002aabb000000000000000000000000000000000000000000" +
-				"000000000000000000000000000000000000000000000000000000000001000000000000000800000000000000020000" +
-				"000100000001720000000000000001000000000000000100000001000000016b00000001080000000000000001000000" +
-				"000000000a00000002aabb00000000000000000000000000000000000000000000000000000000000000000000000000" +
-				"00000000000000"},
+				"00000001000000040100000000000000000000000a00000040aabb000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000100000000" +
+				"0000000800000000000000020000000100000001720000000000000001000000000000000100000001000000016b0000" +
+				"0001080000000000000001000000000000000a00000040aabb0000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"0000000000000000000000000000000000000000000000000000000000000000000000"},
 		{"rp decision", rpDec,
 			"040000000000000007010203000000000000000000000000000000000000000000000000000000000000000001000000" +
 				"040100000002020100000000000000030102030000000000000000000000000000000000000000000000000000000000" +
 				"000000010000000402000000000000000100000000000000020000000a00000000040000000000000000000000000000" +
-				"000000000000000000000000000000000000000001070000000105000000000000000000000000000000000000000000" +
-				"000000000000000000000000000100000000000a00000002aabb00000000000000000000000000000000000000000000" +
-				"00000000000000000000000000000000000000000000"},
+				"000000000000000000000000000000000000000040070000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000105000000000000" +
+				"000000000000000000000000000000000000000000000000000000000100000000000a00000040aabb00000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+				"000000"},
 	}
 	for _, c := range cases {
 		enc, err := EncodeMessage(&c.r)
@@ -584,13 +632,14 @@ func TestWireReadBytesPinned(t *testing.T) {
 }
 
 // TestST1ReplySize pins the in-memory size of a vote, which certificates
-// hold by the thousand: the optional evidence lives behind one pointer.
+// hold by the thousand: the optional evidence lives behind one pointer
+// and the 64-byte signature inline, so a vote is one object, not two.
 func TestST1ReplySize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit hosts")
 	}
-	if got := unsafe.Sizeof(ST1Reply{}); got != 104 {
-		t.Fatalf("ST1Reply is %d bytes, want 104", got)
+	if got := unsafe.Sizeof(ST1Reply{}); got != 144 {
+		t.Fatalf("ST1Reply is %d bytes, want 144", got)
 	}
 }
 
