@@ -57,15 +57,19 @@ test:
 # (its shared basepoint comb is built once, on first use, by whichever
 # goroutine verifies first). A replica collects a transaction's state the
 # moment a writeback finalizes it, so the races of ST1, ST2 and fallback
-# requests against that writeback run ten times, as do the replica's
+# requests against that writeback (and against its check, which reads the
+# own-vote signature an ST1's signing keeps) run ten times, as do the replica's
 # read-reply MAC-key cache (concurrent first reads from many client keys)
-# and the client's read-validation tests. The WAL's group-commit leader
+# and the client's read-validation tests, and so do the certificate
+# checks that share one verifier, pool and pooled scratch across
+# goroutines (internal/cryptoutil, internal/quorum). The WAL's group-commit leader
 # hand-off (appenders piling up behind a held sync, Close and Checkpoint
 # racing a leader) runs twenty times. Runs as part of `make check`.
 test-race:
 	$(GO) test -race ./internal/transport/ ./internal/client/ ./internal/replica/ ./internal/store/ ./internal/wal/ ./internal/metrics/ ./internal/quorum/ ./internal/benchharness/ ./internal/types/ ./internal/cryptoutil/ ./internal/trace/ ./internal/faults/ ./internal/scenario/ ./internal/edwards25519/...
 	$(GO) test -race -count=10 ./internal/replica/ -run RacingWritebackCollected
 	$(GO) test -race -count=10 ./internal/replica/ ./internal/client/ -run '^TestRead'
+	$(GO) test -race -count=10 ./internal/cryptoutil/ ./internal/quorum/ -run 'ConcurrentCertChecks'
 	$(GO) test -race -count=20 ./internal/wal/ -run 'GroupCommit|LeaderSync|ConcurrentAppends'
 	$(GO) test -race ./basil/ -run 'TestCrashRestart|TestRestartReplica|TestOverloadSheds'
 

@@ -491,5 +491,6 @@ func (t *Txn) Inner() *client.Txn { return t.inner }
 
 // Meta returns the transaction's metadata snapshot (read set with observed
 // versions, write set, participant shards). The verification harness uses
-// it to rebuild committed histories.
+// it to rebuild committed histories. After Commit it is the submitted
+// metadata itself and must not be modified.
 func (t *Txn) Meta() *types.TxMeta { return t.inner.MetaSnapshot() }

@@ -53,6 +53,32 @@ func TestSingleTransaction(t *testing.T) {
 	tx2.Abort()
 }
 
+// TestCommittedMetaIsSubmitted: after Commit, Meta returns the metadata
+// the transaction submitted (the one replicas hold), not a fresh copy,
+// so a harness that records every committed transaction keeps no second
+// copy; before Commit it is a snapshot with the same id.
+func TestCommittedMetaIsSubmitted(t *testing.T) {
+	cl := basil.NewCluster(basil.Options{F: 1, Shards: 1})
+	defer cl.Close()
+	cl.Load("x", enc(1))
+	tx := cl.NewClient().Begin()
+	if _, err := tx.Read("x"); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	tx.Write("x", enc(2))
+	before := tx.Meta()
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	after := tx.Meta()
+	if after != tx.Meta() || after == before {
+		t.Fatal("Meta after Commit is not the one submitted metadata")
+	}
+	if after.ID() != before.ID() {
+		t.Fatal("submitted metadata differs from the snapshot taken before Commit")
+	}
+}
+
 func TestFastPathTaken(t *testing.T) {
 	cl := basil.NewCluster(basil.Options{F: 1, Shards: 1})
 	defer cl.Close()

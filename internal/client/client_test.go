@@ -46,23 +46,6 @@ func TestTallyClassificationHelpers(t *testing.T) {
 	}
 }
 
-// TestReplicaSetBeyond64: indices past the first word (shards of more
-// than 64 replicas) are tracked as exactly as the first 64.
-func TestReplicaSetBeyond64(t *testing.T) {
-	var s replicaSet
-	ids := []int32{0, 63, 64, 127, 200}
-	for _, i := range ids {
-		if !s.add(i) || s.add(i) || !s.has(i) {
-			t.Fatalf("index %d: add/duplicate/has wrong", i)
-		}
-	}
-	for _, i := range []int32{1, 62, 65, 128, 199, 201} {
-		if s.has(i) {
-			t.Fatalf("index %d reported present", i)
-		}
-	}
-}
-
 func TestTxnMetaSnapshotDeterministic(t *testing.T) {
 	txn := &Txn{
 		c:        &Client{cfg: Config{ShardOf: func(string) int32 { return 0 }}},

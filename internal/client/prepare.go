@@ -10,7 +10,7 @@ import (
 // shardTally accumulates one shard's stage-1 votes (paper §4.2 step 4).
 type shardTally struct {
 	shard        int32
-	seen         replicaSet
+	seen         quorum.ReplicaSet
 	commits      []types.ST1Reply
 	aborts       []types.ST1Reply
 	conflict     *types.DecisionCert
@@ -34,7 +34,7 @@ func newTallies(shards []int32, n int) map[int32]*shardTally {
 // add records a validated vote from a replica index already checked to
 // lie in the shard; returns false on duplicates.
 func (t *shardTally) add(r *types.ST1Reply) bool {
-	if !t.seen.add(r.ReplicaID) {
+	if !t.seen.Add(r.ReplicaID) {
 		return false
 	}
 	if r.Vote == types.VoteCommit {
@@ -42,39 +42,6 @@ func (t *shardTally) add(r *types.ST1Reply) bool {
 	} else {
 		t.aborts = append(t.aborts, *r)
 	}
-	return true
-}
-
-// replicaSet is a set of replica indices, one bit each. Callers check an
-// index against the shard size before adding it.
-type replicaSet struct {
-	lo uint64   // indices 0-63
-	hi []uint64 // indices from 64 on, for shards of more than 64 replicas
-}
-
-// has reports whether replica index i (0 <= i) is in the set.
-func (s *replicaSet) has(i int32) bool {
-	if i < 64 {
-		return s.lo&(1<<i) != 0
-	}
-	k := int(i/64) - 1
-	return k < len(s.hi) && s.hi[k]&(1<<(i%64)) != 0
-}
-
-// add inserts replica index i (0 <= i) and reports whether it was absent.
-func (s *replicaSet) add(i int32) bool {
-	if s.has(i) {
-		return false
-	}
-	if i < 64 {
-		s.lo |= 1 << i
-		return true
-	}
-	k := int(i/64) - 1
-	for len(s.hi) <= k {
-		s.hi = append(s.hi, 0)
-	}
-	s.hi[k] |= 1 << (i % 64)
 	return true
 }
 
@@ -464,7 +431,7 @@ func (c *Client) logDecision(meta *types.TxMeta, id types.TxID, res prepareResul
 func (c *Client) collectST2(id types.TxID, logShard int32, want types.Decision, ch chan any,
 	resend func()) (st2rs []types.ST2Reply, served *types.DecisionCert, err error) {
 	byKey := make(map[uint64][]types.ST2Reply) // viewDecision -> replies
-	var seen replicaSet
+	var seen quorum.ReplicaSet
 	mismatch := false
 	retry := newOverloadRetry(c, resend)
 	defer retry.stop()
@@ -490,13 +457,13 @@ func (c *Client) collectST2(id types.TxID, logShard int32, want types.Decision, 
 			if !ok {
 				continue
 			}
-			if r.TxID != id || r.ShardID != logShard || r.ReplicaID < 0 || int(r.ReplicaID) >= c.qc.N() || seen.has(r.ReplicaID) {
+			if r.TxID != id || r.ShardID != logShard || r.ReplicaID < 0 || int(r.ReplicaID) >= c.qc.N() || seen.Has(r.ReplicaID) {
 				continue
 			}
 			if c.qv.VerifyST2Reply(r, id) != nil {
 				continue
 			}
-			seen.add(r.ReplicaID)
+			seen.Add(r.ReplicaID)
 			if r.Decision != want {
 				mismatch = true
 				continue

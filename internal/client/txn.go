@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/quorum"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -29,6 +30,8 @@ type Txn struct {
 	depMetas   map[types.TxID]*types.TxMeta
 
 	finished bool
+	// submitted is the metadata Commit sent in ST1, nil before Commit.
+	submitted *types.TxMeta
 }
 
 // Begin starts a transaction with a client-chosen timestamp (paper §4.1).
@@ -199,7 +202,7 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 	)
 	deadline := time.NewTimer(c.cfg.PhaseTimeout)
 	defer deadline.Stop()
-	var seen replicaSet
+	var seen quorum.ReplicaSet
 	for {
 		select {
 		case m := <-ch:
@@ -219,10 +222,10 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 			// The key is that of SignerOf(shard, replica), so an index
 			// past the shard's last replica names a replica of another
 			// shard, whose reply would count as one more of this shard's.
-			if rr.ShardID != shard || rr.ReplicaID < 0 || int(rr.ReplicaID) >= c.qc.N() || seen.has(rr.ReplicaID) || !c.checkReadMAC(rr) {
+			if rr.ShardID != shard || rr.ReplicaID < 0 || int(rr.ReplicaID) >= c.qc.N() || seen.Has(rr.ReplicaID) || !c.checkReadMAC(rr) {
 				continue
 			}
-			seen.add(rr.ReplicaID)
+			seen.Add(rr.ReplicaID)
 			got++
 			if rr.Committed == nil && rr.Prepared == nil {
 				// Key absent at this replica: a vote for the empty
@@ -413,8 +416,16 @@ func (t *Txn) Abort() {
 
 // MetaSnapshot returns the transaction's metadata as it would be (or was)
 // submitted in ST1. Used by the verification harness to rebuild committed
-// histories; safe to call after Commit.
-func (t *Txn) MetaSnapshot() *types.TxMeta { return t.buildMeta() }
+// histories; safe to call after Commit. After Commit it is the submitted
+// metadata itself, which replicas may hold, so a harness that records
+// every committed transaction keeps no second copy; the caller must not
+// modify it.
+func (t *Txn) MetaSnapshot() *types.TxMeta {
+	if t.submitted != nil {
+		return t.submitted
+	}
+	return t.buildMeta()
+}
 
 // buildMeta assembles the signed transaction metadata.
 func (t *Txn) buildMeta() *types.TxMeta {
@@ -461,6 +472,7 @@ func (t *Txn) Commit() error {
 		return nil // empty transaction commits trivially
 	}
 	meta := t.buildMeta()
+	t.submitted = meta
 	dec, err := t.c.runPrepare(meta, t.depMetas)
 	if err != nil {
 		t.c.Stats.TxAborted.Add(1)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/edwards25519"
 	"repro/internal/types"
 )
 
@@ -196,25 +197,172 @@ func (v *SigVerifier) Verify(payload []byte, sig *types.Signature) bool {
 	if !VerifyProof(payload, b.Index, b.Proof, b.Root) {
 		return false
 	}
-	v.mu.Lock()
-	cachedSigner, hit := v.cache[b.Root]
-	v.mu.Unlock()
-	if hit && cachedSigner == sig.SignerID {
+	if v.rootCached(b.Root, sig.SignerID) {
 		return true
 	}
 	if !v.verifyDigest(sig.SignerID, b.Root, b.RootSig) {
 		return false
 	}
-	v.mu.Lock()
-	if _, exists := v.cache[b.Root]; !exists {
-		if len(v.order) >= v.max {
-			oldest := v.order[0]
-			v.order = v.order[1:]
-			delete(v.cache, oldest)
-		}
-		v.cache[b.Root] = sig.SignerID
-		v.order = append(v.order, b.Root)
-	}
-	v.mu.Unlock()
+	v.cacheRoot(b.Root, sig.SignerID)
 	return true
+}
+
+// rootCached reports whether root's signature by signer is already
+// verified.
+func (v *SigVerifier) rootCached(root [32]byte, signer int32) bool {
+	v.mu.Lock()
+	cachedSigner, hit := v.cache[root]
+	v.mu.Unlock()
+	return hit && cachedSigner == signer
+}
+
+// cacheRoot records root's signature by signer as verified.
+func (v *SigVerifier) cacheRoot(root [32]byte, signer int32) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if _, exists := v.cache[root]; exists {
+		return
+	}
+	if len(v.order) >= v.max {
+		oldest := v.order[0]
+		v.order = v.order[1:]
+		delete(v.cache, oldest)
+	}
+	v.cache[root] = signer
+	v.order = append(v.order, root)
+}
+
+// CertSigs returns a certificate's i-th signature and the payload it
+// signs, appended to buf (memory the check owns, sized for any vote or
+// acknowledgement payload). A nil signature marks an entry the caller
+// vouches for itself: it is not checked.
+type CertSigs func(i int, buf []byte) (payload []byte, sig *types.Signature)
+
+// VerifyCert reports whether all n signatures of a certificate are valid:
+// it accepts exactly what n calls of Verify accept. Each check's scalar
+// work and comb (VarTimeDoubleCombMult) runs as one task of pool.All
+// (inline when pool is nil) into a pooled point buffer; the comb results
+// are then encoded with one shared field inversion and compared with
+// their R bytes. Batched signatures use the root cache as Verify does.
+func (v *SigVerifier) VerifyCert(pool *VerifyPool, n int, at CertSigs) bool {
+	if v.reg.Scheme() == SchemeNone || n <= 0 {
+		return true
+	}
+	sc := getCertScratch(n)
+	sc.v, sc.at = v, at
+	defer func() {
+		sc.v, sc.at = nil, nil
+		certScratchPool.Put(sc)
+	}()
+	if pool != nil {
+		if !pool.All(n, sc.check) {
+			return false
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			if !sc.check(i) {
+				return false
+			}
+		}
+	}
+	m := 0
+	for i := range sc.ents[:n] {
+		if sc.ents[i].combed {
+			sc.pts[m], sc.rs[m] = sc.pts[i], sc.rs[i]
+			m++
+		}
+	}
+	if !encodeMatches(sc.enc[:m], sc.pts[:m], sc.rs[:m]) {
+		return false
+	}
+	for i := range sc.ents[:n] {
+		if e := &sc.ents[i]; e.newRoot {
+			v.cacheRoot(e.root, e.signer)
+		}
+	}
+	return true
+}
+
+// combEntry runs entry i of a VerifyCert up to its encoding: payload,
+// proof and root cache, then the comb into sc.pts[i] with the R bytes
+// it must encode to in sc.rs[i]. It reports false for a signature
+// refused before the encoding.
+func (sc *certScratch) combEntry(i int) bool {
+	v := sc.v
+	e := &sc.ents[i]
+	e.combed, e.newRoot = false, false
+	payload, sig := sc.at(i, e.buf[:0])
+	if sig == nil {
+		return true
+	}
+	raw := sig.Direct
+	var dig [32]byte
+	if b := sig.Batch; b != nil {
+		if !VerifyProof(payload, b.Index, b.Proof, b.Root) {
+			return false
+		}
+		if v.rootCached(b.Root, sig.SignerID) {
+			return true
+		}
+		dig, raw = b.Root, b.RootSig
+		e.root, e.signer, e.newRoot = b.Root, sig.SignerID, true
+	} else {
+		dig = digest(payload)
+	}
+	if v.checks != nil {
+		v.checks.Add(1)
+	}
+	k := v.reg.key(sig.SignerID)
+	if k == nil || !k.comb(&sc.pts[i], &dig, &raw) {
+		return false
+	}
+	sc.rs[i] = [32]byte(raw[:32])
+	e.combed = true
+	return true
+}
+
+// certPayloadCap sizes the payload buffer of one certificate entry; an
+// ST2 acknowledgement, the longest signed payload in a certificate, is
+// 68 bytes.
+const certPayloadCap = 96
+
+// certScratch is one VerifyCert call's working memory, pooled so that a
+// certificate check allocates nothing per signature. pts, rs and enc are
+// separate slices because the batch encode takes them whole.
+type certScratch struct {
+	v     *SigVerifier
+	at    CertSigs
+	check func(i int) bool // sc.combEntry, bound once per scratch
+
+	ents []certEntry
+	pts  []edwards25519.Point
+	rs   [][32]byte // R bytes each comb result must encode to
+	enc  [][32]byte
+}
+
+// certEntry is one signature's state within a VerifyCert call.
+type certEntry struct {
+	buf     [certPayloadCap]byte
+	combed  bool // pts[i] holds a comb result to encode
+	newRoot bool // root's signature by signer passed; cache it on success
+	signer  int32
+	root    [32]byte
+}
+
+var certScratchPool = sync.Pool{New: func() any {
+	sc := new(certScratch)
+	sc.check = sc.combEntry
+	return sc
+}}
+
+// getCertScratch returns pooled scratch for n entries.
+func getCertScratch(n int) *certScratch {
+	sc := certScratchPool.Get().(*certScratch)
+	if len(sc.ents) < n {
+		sc.ents = make([]certEntry, n)
+		sc.pts = make([]edwards25519.Point, n)
+		sc.rs = make([][32]byte, n)
+		sc.enc = make([][32]byte, n)
+	}
+	return sc
 }

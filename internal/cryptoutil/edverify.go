@@ -1,7 +1,6 @@
 package cryptoutil
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/sha512"
 	"math/big"
@@ -63,9 +62,25 @@ func (sc *scalarTemps) setLE(x *big.Int, b []byte) *big.Int {
 // accepts: length 64, the top three bits of sig[63] clear, S canonical
 // (S < L), and the cofactorless equation [S]B = R + [k]A checked by
 // comparing the encoding of [S]B + [k](−A) with the R bytes, where
-// k = SHA-512(R‖A‖d) mod L.
+// k = SHA-512(R‖A‖d) mod L. It is the one-signature case of the
+// certificate kernel (SigVerifier.VerifyCert): comb, then encode.
 func (k *expandedKey) verify(d *[32]byte, sig []byte) bool {
-	if len(sig) != ed25519.SignatureSize || sig[63]&224 != 0 {
+	if len(sig) != ed25519.SignatureSize {
+		return false
+	}
+	var p [1]edwards25519.Point
+	rs := [1][32]byte{[32]byte(sig[:32])}
+	var enc [1][32]byte
+	return k.comb(&p[0], d, (*[64]byte)(sig)) && encodeMatches(enc[:], p[:], rs[:])
+}
+
+// comb runs a signature check up to its final encoding. It refuses what
+// crypto/ed25519.Verify refuses before the equation (a key that is not a
+// curve point, any of the top three bits of sig[63] set, S ≥ L) and
+// otherwise sets p = [S]B + [k](−A); the signature is valid iff p
+// encodes to its R bytes (encodeMatches).
+func (k *expandedKey) comb(p *edwards25519.Point, d *[32]byte, sig *[64]byte) bool {
+	if sig[63]&224 != 0 {
 		return false
 	}
 	sc := tempsPool.Get().(*scalarTemps)
@@ -90,6 +105,19 @@ func (k *expandedKey) verify(d *[32]byte, sig []byte) bool {
 		kBytes[i], kBytes[j] = kBytes[j], kBytes[i]
 	}
 	copy(sBytes[:], sig[32:])
-	r := new(edwards25519.Point).VarTimeDoubleCombMult(&kBytes, negA, &sBytes)
-	return bytes.Equal(sig[:32], r.Bytes())
+	p.VarTimeDoubleCombMult(&kBytes, negA, &sBytes)
+	return true
+}
+
+// encodeMatches encodes every comb result with one shared field
+// inversion (edwards25519.BatchBytes) into enc and reports whether each
+// equals its signature's R bytes, rs[i].
+func encodeMatches(enc [][32]byte, ps []edwards25519.Point, rs [][32]byte) bool {
+	edwards25519.BatchBytes(enc, ps)
+	for i := range enc {
+		if enc[i] != rs[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -138,10 +138,16 @@ func (r *Registry) VerifyDigest(signer int32, d [32]byte, sig [64]byte) bool {
 	if r.scheme == SchemeNone {
 		return sig == noSig
 	}
+	k := r.key(signer)
+	return k != nil && k.verify(&d, sig[:])
+}
+
+// key returns signer's expanded key, nil when the id has none.
+func (r *Registry) key(signer int32) *expandedKey {
 	if signer < 0 || int(signer) >= len(r.keys) {
-		return false
+		return nil
 	}
-	return r.keys[signer].verify(&d, sig[:])
+	return &r.keys[signer]
 }
 
 type edSigner struct {

@@ -111,6 +111,57 @@ func (v *Point) bytes(buf *[32]byte) []byte {
 	return out
 }
 
+// batchChunk is how many points BatchBytes encodes per shared inversion;
+// it bounds the prefix products, which live on the stack.
+const batchChunk = 32
+
+// BatchBytes sets out[i] to ps[i].Bytes() for every i, sharing one field
+// inversion across each run of up to batchChunk points (Montgomery's
+// trick, as NewCombTable does): the inverse of the product of the Z
+// coordinates, walked back one factor at a time, costs three
+// multiplications per point instead of an inversion each. It panics if
+// the lengths differ.
+func BatchBytes(out [][32]byte, ps []Point) {
+	if len(out) != len(ps) {
+		panic("edwards25519: BatchBytes length mismatch")
+	}
+	for len(ps) > batchChunk {
+		batchBytes(out[:batchChunk], ps[:batchChunk])
+		out, ps = out[batchChunk:], ps[batchChunk:]
+	}
+	batchBytes(out, ps)
+}
+
+func batchBytes(out [][32]byte, ps []Point) {
+	var prefix [batchChunk]field.Element
+	var acc field.Element
+	acc.One()
+	for i := range ps {
+		checkInitialized(&ps[i])
+		prefix[i].Set(&acc)
+		acc.Multiply(&acc, &ps[i].z)
+	}
+	if acc.Equal(new(field.Element)) == 1 {
+		// A zero Z (no curve point has one) would zero every inverse in
+		// the run; encode one at a time so each point gets what Bytes
+		// gives it.
+		for i := range ps {
+			ps[i].bytes(&out[i])
+		}
+		return
+	}
+	acc.Invert(&acc)
+	var zInv, x, y field.Element
+	for i := len(ps) - 1; i >= 0; i-- {
+		zInv.Multiply(&acc, &prefix[i]) // 1 / Z_i
+		acc.Multiply(&acc, &ps[i].z)    // 1 / (Z_0 ⋯ Z_(i−1))
+		x.Multiply(&ps[i].x, &zInv)
+		y.Multiply(&ps[i].y, &zInv)
+		copy(out[i][:], y.Bytes())
+		out[i][31] |= byte(x.IsNegative() << 7)
+	}
+}
+
 var feOne = new(field.Element).One()
 
 // SetBytes sets v = x, where x is a 32-byte encoding of v. If x does not

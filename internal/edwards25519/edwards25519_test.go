@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/sha512"
+	"encoding/hex"
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"repro/internal/edwards25519/field"
 )
 
 // naiveMult is the reference scalar multiplication: double-and-add over
@@ -130,6 +133,62 @@ func TestSignedRadix256(t *testing.T) {
 	if d := signedRadix256(&top); d[31] != 128 {
 		t.Fatalf("top digit of %x = %d, want a carry into 128", top, d[31])
 	}
+}
+
+// TestBatchBytesMatchesBytes is the differential test of BatchBytes
+// against per-point Bytes: random multiples of the generator (arbitrary
+// Z), their negations, the identity and the other point with x = 0
+// (0, −1), in runs shorter than, equal to and longer than batchChunk so
+// the chunked walk is covered, and a run holding a zero-Z value, which
+// takes the one-at-a-time fallback.
+func TestBatchBytesMatchesBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var zero [32]byte
+	minusOne, err := new(Point).SetBytes(mustDecodeHex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps []Point
+	for len(ps) < 3*batchChunk+5 {
+		s := randScalar(rng)
+		p := new(Point).VarTimeDoubleCombMult(&zero, basepointComb(), &s)
+		ps = append(ps, *p, *new(Point).Negate(p))
+		switch len(ps) % 7 {
+		case 0:
+			ps = append(ps, *NewIdentityPoint())
+		case 3:
+			// (0, −1) as a sum, so its Z is not 1.
+			ps = append(ps, *new(Point).Add(minusOne, NewIdentityPoint()))
+		}
+	}
+	for _, n := range []int{0, 1, 2, 6, batchChunk, batchChunk + 1, len(ps)} {
+		out := make([][32]byte, n)
+		BatchBytes(out, ps[:n])
+		for i := range out {
+			if want := ps[i].Bytes(); !bytes.Equal(out[i][:], want) {
+				t.Fatalf("n=%d point %d: batch %x, Bytes %x", n, i, out[i], want)
+			}
+		}
+	}
+
+	zeroZ := make([]Point, 5)
+	copy(zeroZ, ps)
+	zeroZ[2].z = field.Element{}
+	out := make([][32]byte, len(zeroZ))
+	BatchBytes(out, zeroZ)
+	for i := range out {
+		if want := zeroZ[i].Bytes(); !bytes.Equal(out[i][:], want) {
+			t.Fatalf("zero-Z run, point %d: batch %x, Bytes %x", i, out[i], want)
+		}
+	}
+}
+
+func mustDecodeHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // BenchmarkNewCombTable measures one comb build, which every registry key

@@ -12,6 +12,7 @@ package quorum
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/cryptoutil"
@@ -158,24 +159,60 @@ type Verifier struct {
 	// pool: batch verification falls back to inline execution when the
 	// pool is busy or closed.
 	Pool *cryptoutil.VerifyPool
+	// OwnVote, if non-nil, reports whether a vote in a certificate or
+	// tally is byte for byte one this node signed and logged itself; its
+	// signature is then known valid and not checked again. Accepted sets
+	// do not change: a byte-equal vote passes the full check too.
+	OwnVote func(r *types.ST1Reply) bool
 
 	// mu guards certCache; signature checks run outside it.
 	mu        sync.Mutex
 	certCache map[certKey]bool
 }
 
-// allSigs runs n independent signature checks, in parallel when a pool is
-// attached, and reports whether all passed.
-func (v *Verifier) allSigs(n int, check func(i int) bool) bool {
-	if v.Pool == nil || n < 2 {
-		for i := 0; i < n; i++ {
-			if !check(i) {
-				return false
-			}
+// verifyST1Sigs checks the signatures of a certificate's or a tally's
+// votes as one certificate check, skipping the caller's own (OwnVote).
+func (v *Verifier) verifyST1Sigs(rs []types.ST1Reply) bool {
+	return v.Sigs.VerifyCert(v.Pool, len(rs), func(i int, buf []byte) ([]byte, *types.Signature) {
+		r := &rs[i]
+		if v.OwnVote != nil && v.OwnVote(r) {
+			return nil, nil
 		}
+		return r.AppendPayload(buf), &r.Sig
+	})
+}
+
+// ReplicaSet is a set of replica indices, one bit each. Callers check an
+// index against the shard size (or a count of shards) before adding it.
+type ReplicaSet struct {
+	lo uint64   // indices 0-63
+	hi []uint64 // indices from 64 on, for shards of more than 64 replicas
+}
+
+// Has reports whether replica index i (0 <= i) is in the set.
+func (s *ReplicaSet) Has(i int32) bool {
+	if i < 64 {
+		return s.lo&(1<<i) != 0
+	}
+	k := int(i/64) - 1
+	return k < len(s.hi) && s.hi[k]&(1<<(i%64)) != 0
+}
+
+// Add inserts replica index i (0 <= i) and reports whether it was absent.
+func (s *ReplicaSet) Add(i int32) bool {
+	if s.Has(i) {
+		return false
+	}
+	if i < 64 {
+		s.lo |= 1 << i
 		return true
 	}
-	return v.Pool.All(n, check)
+	k := int(i/64) - 1
+	for len(s.hi) <= k {
+		s.hi = append(s.hi, 0)
+	}
+	s.hi[k] |= 1 << (i % 64)
+	return true
 }
 
 // certCacheCap bounds the verified-certificate cache, matching the
@@ -223,8 +260,8 @@ func (v *Verifier) checkST1Fields(r *types.ST1Reply, id types.TxID) error {
 
 // verifyST1Sig checks one vote's signature.
 func (v *Verifier) verifyST1Sig(r *types.ST1Reply) bool {
-	sig := r.Sig
-	return v.Sigs.Verify(r.Payload(), &sig)
+	var buf [96]byte
+	return v.Sigs.Verify(r.AppendPayload(buf[:0]), &r.Sig)
 }
 
 // VerifyST1Reply checks one vote's signature and field consistency.
@@ -255,8 +292,8 @@ func (v *Verifier) checkST2Fields(r *types.ST2Reply, id types.TxID) error {
 
 // verifyST2Sig checks one acknowledgement's signature.
 func (v *Verifier) verifyST2Sig(r *types.ST2Reply) bool {
-	sig := r.Sig
-	return v.Sigs.Verify(r.Payload(), &sig)
+	var buf [96]byte
+	return v.Sigs.Verify(r.AppendPayload(buf[:0]), &r.Sig)
 }
 
 // VerifyST2Reply checks one logged-decision acknowledgement.
@@ -281,12 +318,15 @@ func (v *Verifier) VerifyShardCert(sc *types.ShardCert, id types.TxID) error {
 		}
 		return v.countST1(sc, id, sc.Vote, need)
 	case types.CertST2Logged:
-		seen := make(map[int32]bool)
+		var seen ReplicaSet
 		var dec types.Decision
 		var view uint64
 		for i := range sc.ST2Rs {
 			r := &sc.ST2Rs[i]
-			if r.ShardID != sc.ShardID || seen[r.ReplicaID] {
+			if err := v.checkST2Fields(r, id); err != nil {
+				return err
+			}
+			if r.ShardID != sc.ShardID || !seen.Add(r.ReplicaID) {
 				return fmt.Errorf("%w: duplicate/foreign st2r", ErrBadCert)
 			}
 			if i == 0 {
@@ -294,15 +334,14 @@ func (v *Verifier) VerifyShardCert(sc *types.ShardCert, id types.TxID) error {
 			} else if r.Decision != dec || r.ViewDecision != view {
 				return fmt.Errorf("%w: st2r decision/view mismatch", ErrBadCert)
 			}
-			if err := v.checkST2Fields(r, id); err != nil {
-				return err
-			}
-			seen[r.ReplicaID] = true
 		}
-		if len(seen) < v.Cfg.LogQuorum() {
-			return fmt.Errorf("%w: %d st2r < log quorum %d", ErrBadCert, len(seen), v.Cfg.LogQuorum())
+		if len(sc.ST2Rs) < v.Cfg.LogQuorum() {
+			return fmt.Errorf("%w: %d st2r < log quorum %d", ErrBadCert, len(sc.ST2Rs), v.Cfg.LogQuorum())
 		}
-		if !v.allSigs(len(sc.ST2Rs), func(i int) bool { return v.verifyST2Sig(&sc.ST2Rs[i]) }) {
+		rs := sc.ST2Rs
+		if !v.Sigs.VerifyCert(v.Pool, len(rs), func(i int, buf []byte) ([]byte, *types.Signature) {
+			return rs[i].AppendPayload(buf), &rs[i].Sig
+		}) {
 			return fmt.Errorf("%w: bad st2r signature", ErrBadCert)
 		}
 		want := types.DecisionCommit
@@ -336,21 +375,20 @@ func (v *Verifier) VerifyShardCert(sc *types.ShardCert, id types.TxID) error {
 }
 
 func (v *Verifier) countST1(sc *types.ShardCert, id types.TxID, vote types.Vote, need int) error {
-	seen := make(map[int32]bool)
+	var seen ReplicaSet
 	for i := range sc.ST1Rs {
 		r := &sc.ST1Rs[i]
-		if r.ShardID != sc.ShardID || r.Vote != vote || seen[r.ReplicaID] {
-			return fmt.Errorf("%w: inconsistent st1r set", ErrBadCert)
-		}
 		if err := v.checkST1Fields(r, id); err != nil {
 			return err
 		}
-		seen[r.ReplicaID] = true
+		if r.ShardID != sc.ShardID || r.Vote != vote || !seen.Add(r.ReplicaID) {
+			return fmt.Errorf("%w: inconsistent st1r set", ErrBadCert)
+		}
 	}
-	if len(seen) < need {
-		return fmt.Errorf("%w: %d votes < required %d", ErrBadCert, len(seen), need)
+	if len(sc.ST1Rs) < need {
+		return fmt.Errorf("%w: %d votes < required %d", ErrBadCert, len(sc.ST1Rs), need)
 	}
-	if !v.allSigs(len(sc.ST1Rs), func(i int) bool { return v.verifyST1Sig(&sc.ST1Rs[i]) }) {
+	if !v.verifyST1Sigs(sc.ST1Rs) {
 		return fmt.Errorf("%w: bad st1r signature", ErrBadCert)
 	}
 	return nil
@@ -391,23 +429,25 @@ func (v *Verifier) verifyDecisionCertSlow(cert *types.DecisionCert, meta *types.
 			}
 			return v.VerifyShardCert(sc, id)
 		}
-		// Fast path: one fast commit V-CERT per participant shard.
-		have := make(map[int32]bool)
+		// Fast path: one fast commit V-CERT per participant shard. have
+		// holds positions in meta.Shards, so a hostile shard id cannot
+		// size it.
+		var have ReplicaSet
 		for i := range cert.Shards {
 			sc := &cert.Shards[i]
 			if sc.Kind != types.CertST1Fast || sc.Vote != types.VoteCommit {
 				return fmt.Errorf("%w: fast C-CERT needs fast commit shard certs", ErrBadCert)
 			}
-			if !meta.HasShard(sc.ShardID) || have[sc.ShardID] {
+			pos := slices.Index(meta.Shards, sc.ShardID)
+			if pos < 0 || !have.Add(int32(pos)) {
 				return fmt.Errorf("%w: unexpected shard %d in cert", ErrBadCert, sc.ShardID)
 			}
 			if err := v.VerifyShardCert(sc, id); err != nil {
 				return err
 			}
-			have[sc.ShardID] = true
 		}
-		if len(have) != len(meta.Shards) {
-			return fmt.Errorf("%w: fast C-CERT covers %d of %d shards", ErrBadCert, len(have), len(meta.Shards))
+		if len(cert.Shards) != len(meta.Shards) {
+			return fmt.Errorf("%w: fast C-CERT covers %d of %d shards", ErrBadCert, len(cert.Shards), len(meta.Shards))
 		}
 		return nil
 	case types.DecisionAbort:
@@ -487,21 +527,20 @@ func (v *Verifier) VerifyTallyJustifies(meta *types.TxMeta, dec types.Decision, 
 }
 
 func (v *Verifier) verifyTallyVotes(t *types.VoteTally, id types.TxID, need int) error {
-	seen := make(map[int32]bool)
+	var seen ReplicaSet
 	for i := range t.Replies {
 		r := &t.Replies[i]
-		if r.ShardID != t.ShardID || r.Vote != t.Vote || seen[r.ReplicaID] {
-			return fmt.Errorf("%w: inconsistent tally", ErrBadCert)
-		}
 		if err := v.checkST1Fields(r, id); err != nil {
 			return err
 		}
-		seen[r.ReplicaID] = true
+		if r.ShardID != t.ShardID || r.Vote != t.Vote || !seen.Add(r.ReplicaID) {
+			return fmt.Errorf("%w: inconsistent tally", ErrBadCert)
+		}
 	}
-	if len(seen) < need {
-		return fmt.Errorf("%w: tally %d < %d", ErrBadCert, len(seen), need)
+	if len(t.Replies) < need {
+		return fmt.Errorf("%w: tally %d < %d", ErrBadCert, len(t.Replies), need)
 	}
-	if !v.allSigs(len(t.Replies), func(i int) bool { return v.verifyST1Sig(&t.Replies[i]) }) {
+	if !v.verifyST1Sigs(t.Replies) {
 		return fmt.Errorf("%w: bad st1r signature in tally", ErrBadCert)
 	}
 	return nil

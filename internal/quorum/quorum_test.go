@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -371,4 +372,106 @@ func TestCertCacheHit(t *testing.T) {
 	if err := e.v.VerifyDecisionCert(wrong, meta); err == nil {
 		t.Fatal("uncached abort cert accepted")
 	}
+}
+
+// TestReplicaSetBeyond64: indices past the first word (shards of more
+// than 64 replicas) are tracked as exactly as the first 64.
+func TestReplicaSetBeyond64(t *testing.T) {
+	var s ReplicaSet
+	ids := []int32{0, 63, 64, 127, 200}
+	for _, i := range ids {
+		if !s.Add(i) || s.Add(i) || !s.Has(i) {
+			t.Fatalf("index %d: add/duplicate/has wrong", i)
+		}
+	}
+	for _, i := range []int32{1, 62, 65, 128, 199, 201} {
+		if s.Has(i) {
+			t.Fatalf("index %d reported present", i)
+		}
+	}
+}
+
+// fastCerts returns n distinct fast commit certificates of 5f+1 votes
+// each, with their metadata.
+func (e *certEnv) fastCerts(n int) ([]*types.DecisionCert, []*types.TxMeta) {
+	certs := make([]*types.DecisionCert, n)
+	metas := make([]*types.TxMeta, n)
+	for k := range certs {
+		meta := testMeta()
+		meta.Timestamp.Time = uint64(100 + k)
+		id := meta.ID()
+		sc := types.ShardCert{ShardID: 0, Kind: types.CertST1Fast, Vote: types.VoteCommit}
+		for i := int32(0); i < int32(e.cfg.N()); i++ {
+			sc.ST1Rs = append(sc.ST1Rs, e.st1r(id, i, types.VoteCommit))
+		}
+		certs[k] = &types.DecisionCert{TxID: id, Decision: types.DecisionCommit, Shards: []types.ShardCert{sc}}
+		metas[k] = meta
+	}
+	return certs, metas
+}
+
+// TestVerifyDecisionCertAllocs pins a fast certificate's check at three
+// allocations per certificate (the entry callback, and the two of a
+// VerifyPool.All batch) and none per signature: a 6-vote (f = 1)
+// and an 11-vote (f = 2) certificate allocate the same, with the
+// verifier's pool attached as on a replica. Each run checks a fresh
+// certificate, so the verified-certificate cache never answers.
+func TestVerifyDecisionCertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const runs = 20
+	pool := cryptoutil.NewVerifyPool(2)
+	defer pool.Close()
+	var got [2]float64
+	for j, f := range []int{1, 2} {
+		e := newCertEnv(f)
+		e.v.Pool = pool
+		certs, metas := e.fastCerts(runs + 2)
+		if err := e.v.VerifyDecisionCert(certs[0], metas[0]); err != nil {
+			t.Fatal(err) // builds the key tables and warms the pools
+		}
+		k := 1
+		got[j] = testing.AllocsPerRun(runs, func() {
+			if err := e.v.VerifyDecisionCert(certs[k], metas[k]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		})
+	}
+	if got[0] > 3 || got[1] != got[0] {
+		t.Fatalf("allocations per certificate: %v with 6 votes, %v with 11; want at most 3, equal", got[0], got[1])
+	}
+}
+
+// TestConcurrentCertChecks verifies certificates and tallies from many
+// goroutines through one Verifier and pool, racing the certificate cache
+// and the pooled check scratch (run under -race by make test-race); a
+// copy with one corrupted vote is refused every time.
+func TestConcurrentCertChecks(t *testing.T) {
+	e := newCertEnv(1)
+	pool := cryptoutil.NewVerifyPool(2)
+	defer pool.Close()
+	e.v.Pool = pool
+	certs, metas := e.fastCerts(24)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range certs {
+				k := (k + g*5) % len(certs)
+				if err := e.v.VerifyDecisionCert(certs[k], metas[k]); err != nil {
+					t.Errorf("cert %d: %v", k, err)
+				}
+				votes := append([]types.ST1Reply(nil), certs[k].Shards[0].ST1Rs...)
+				votes[g].Sig.Direct[9] ^= 1
+				tally := types.VoteTally{TxID: certs[k].TxID, ShardID: 0, Vote: types.VoteCommit, Replies: votes}
+				if e.v.VerifyTallyJustifies(metas[k], types.DecisionCommit, []types.VoteTally{tally}) == nil {
+					t.Errorf("cert %d: tally with corrupted vote %d accepted", k, g)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/types"
@@ -54,12 +55,12 @@ func (r *Replica) logVoteLocked(t *txState, tc types.TraceContext) bool {
 	if r.wal == nil {
 		return true
 	}
-	b := make([]byte, 0, 256)
-	b = append(b, walRecVote)
+	rp := walRecords.Get().(*[]byte)
+	b := append((*rp)[:0], walRecVote)
 	b = append(b, t.id[:]...)
 	b = append(b, byte(t.vote))
 	b = walMetaOpt(b, t.meta)
-	return r.walAppend(b, tc)
+	return r.walAppendPooled(rp, b, tc)
 }
 
 // logDecisionLocked durably appends t's logged ST2 decision. Caller
@@ -68,13 +69,13 @@ func (r *Replica) logDecisionLocked(t *txState, tc types.TraceContext) bool {
 	if r.wal == nil {
 		return true
 	}
-	b := make([]byte, 0, 256)
-	b = append(b, walRecDecision)
+	rp := walRecords.Get().(*[]byte)
+	b := append((*rp)[:0], walRecDecision)
 	b = append(b, t.id[:]...)
 	b = append(b, byte(t.decision))
 	b = binary.BigEndian.AppendUint64(b, t.viewDecision)
 	b = walMetaOpt(b, t.meta)
-	return r.walAppend(b, tc)
+	return r.walAppendPooled(rp, b, tc)
 }
 
 // logFinal durably appends a proven decision before it is applied.
@@ -82,13 +83,31 @@ func (r *Replica) logFinal(id types.TxID, meta *types.TxMeta, dec types.Decision
 	if r.wal == nil {
 		return true
 	}
-	b := make([]byte, 0, 512)
-	b = append(b, walRecFinal)
+	rp := walRecords.Get().(*[]byte)
+	b := append((*rp)[:0], walRecFinal)
 	b = append(b, id[:]...)
 	b = append(b, byte(dec))
 	b = walMetaOpt(b, meta)
 	b = types.AppendDecisionCert(b, cert)
-	return r.walAppend(b, tc)
+	return r.walAppendPooled(rp, b, tc)
+}
+
+// walRecords pools the buffers promise records are built in. wal.Append
+// has copied a record into its frame when it returns, so the buffer goes
+// back to the pool then; one above maxPooledRecord is not kept.
+var walRecords = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledRecord = 16 << 10
+
+// walAppendPooled appends rec, built in the pooled buffer *rp, and
+// returns the buffer to the pool.
+func (r *Replica) walAppendPooled(rp *[]byte, rec []byte, tc types.TraceContext) bool {
+	ok := r.walAppend(rec, tc)
+	if cap(rec) <= maxPooledRecord {
+		*rp = rec[:0]
+	}
+	walRecords.Put(rp)
+	return ok
 }
 
 // walAppend appends one record, muting the replica on failure: state may

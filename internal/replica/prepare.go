@@ -305,7 +305,13 @@ func (r *Replica) sendVoteLocked(to transport.Addr, reqID uint64, t *txState) {
 	if conflict != nil || conflictMeta != nil || t.blockedBy != nil {
 		reply.Ev = &types.ST1Evidence{Conflict: conflict, ConflictMeta: conflictMeta, BlockedBy: t.blockedBy}
 	}
+	// Only the logged vote is kept for the writeback's own-vote check,
+	// never a per-recipient equivocation.
+	logged := vote == t.vote
 	r.signThen(reply.Payload(), func(sig types.Signature) {
+		if logged && sig.Batch == nil {
+			t.keepOwnSig(vote, sig.Direct)
+		}
 		reply.Sig = sig
 		r.send(to, reply)
 	})

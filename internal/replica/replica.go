@@ -184,6 +184,16 @@ type txState struct {
 	voteConflict *types.DecisionCert
 	conflictMeta *types.TxMeta
 	blockedBy    *types.TxMeta
+	// ownSig is the direct signature this replica sent over its logged
+	// vote ownVote, kept so the writeback certificate that carries it can
+	// skip its check (ownVoteInCert). The signing callback that writes it
+	// may run under mu, so instead of mu, ownSigState publishes it: the
+	// one writer that moves it from ownSigEmpty to ownSigWriting stores
+	// the pair, then sets ownSigSet; readers read the pair only after
+	// seeing ownSigSet, and it never changes again.
+	ownSigState atomic.Uint32
+	ownVote     types.Vote
+	ownSig      [64]byte
 
 	// Dependency waiting (Algorithm 1 line 15); allocated on the first
 	// dependency, nil for the transactions that never wait.
@@ -212,6 +222,44 @@ type txState struct {
 	abandonCharged bool
 
 	finalized bool
+}
+
+// txState.ownSigState values.
+const (
+	ownSigEmpty uint32 = iota
+	ownSigWriting
+	ownSigSet
+)
+
+// keepOwnSig records sig, the direct signature sent over the logged vote,
+// unless one is already kept. It does not take t.mu.
+func (t *txState) keepOwnSig(vote types.Vote, sig [64]byte) {
+	if t.ownSigState.CompareAndSwap(ownSigEmpty, ownSigWriting) {
+		t.ownVote, t.ownSig = vote, sig
+		t.ownSigState.Store(ownSigSet)
+	}
+}
+
+// hasOwnSig reports whether sig over vote is the kept signature.
+func (t *txState) hasOwnSig(vote types.Vote, sig *[64]byte) bool {
+	return t.ownSigState.Load() == ownSigSet && t.ownVote == vote && t.ownSig == *sig
+}
+
+// ownVoteInCert reports whether v, a vote in a certificate or tally, is
+// this replica's logged vote carrying the very signature bytes it sent
+// (quorum.Verifier.OwnVote). Direct ed25519 signatures are deterministic
+// and a vote's payload carries no request id, so every honest copy of
+// the vote carries those bytes, and a byte-equal entry is exactly one
+// the full check accepts: the stored certificate stays transferable.
+// Anything else — a batched signature, a vote signed before a restart, an
+// equivocated vote, other signature bytes — is checked in full.
+func (r *Replica) ownVoteInCert(v *types.ST1Reply) bool {
+	if v.ShardID != r.cfg.Shard || v.ReplicaID != r.cfg.Index ||
+		v.Sig.SignerID != r.cfg.SignerID || v.Sig.Batch != nil {
+		return false
+	}
+	t := r.peekTx(v.TxID)
+	return t != nil && t.hasOwnSig(v.Vote, &v.Sig.Direct)
 }
 
 // Stats counts observable replica events; all fields are atomic.
@@ -381,7 +429,7 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 	r.frec = trace.NewFlightRecorder(r.traceNode, 0)
 	r.adm = newAdmission(r, cfg.DispatchQueue)
 	r.batcher = cryptoutil.NewBatchSigner(r.signer, cfg.BatchSize, BatchDelay)
-	r.qv = &quorum.Verifier{Cfg: r.qc, Sigs: r.sv, SignerOf: cfg.SignerOf, Pool: r.pool}
+	r.qv = &quorum.Verifier{Cfg: r.qc, Sigs: r.sv, SignerOf: cfg.SignerOf, Pool: r.pool, OwnVote: r.ownVoteInCert}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()

@@ -36,3 +36,38 @@ func TestTxMetaIDHashesCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeMessageOwnsItsBytes: EncodeMessage returns an exact-size
+// slice of its own, not the pooled scratch it encoded into. An encoding
+// stays unchanged while later encodings reuse the scratch, and equals a
+// fresh AppendMessage.
+func TestEncodeMessageOwnsItsBytes(t *testing.T) {
+	msgs := wireMessages(7)
+	encs := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		b, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != cap(b) {
+			t.Fatalf("%T: encoding has len %d, cap %d", m, len(b), cap(b))
+		}
+		encs[i] = b
+	}
+	for round := 0; round < 3; round++ {
+		for _, m := range msgs {
+			if _, err := EncodeMessage(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, m := range msgs {
+		want, _ := AppendMessage(nil, m)
+		if !bytes.Equal(encs[i], want) {
+			t.Fatalf("%T: encoding changed after the scratch was reused", m)
+		}
+	}
+	if _, err := EncodeMessage("not a message"); err == nil {
+		t.Fatal("non-message encoded")
+	}
+}

@@ -258,8 +258,11 @@ func (e *ST1Evidence) isZero() bool { return *e == noEvidence }
 
 // Payload returns the signed bytes of the vote: domain, tx id, shard and
 // replica, and the vote itself.
-func (r *ST1Reply) Payload() []byte {
-	b := make([]byte, 0, 64)
+func (r *ST1Reply) Payload() []byte { return r.AppendPayload(make([]byte, 0, 64)) }
+
+// AppendPayload appends the vote's signed bytes (Payload) to b, so a
+// certificate check can hash them from a buffer it owns.
+func (r *ST1Reply) AppendPayload(b []byte) []byte {
 	b = append(b, domST1R...)
 	b = append(b, r.TxID[:]...)
 	b = appendU32(b, uint32(r.ShardID))
@@ -309,8 +312,10 @@ type ST2Reply struct {
 }
 
 // Payload returns the signed bytes of the logged-decision acknowledgement.
-func (r *ST2Reply) Payload() []byte {
-	b := make([]byte, 0, 80)
+func (r *ST2Reply) Payload() []byte { return r.AppendPayload(make([]byte, 0, 80)) }
+
+// AppendPayload appends the acknowledgement's signed bytes (Payload) to b.
+func (r *ST2Reply) AppendPayload(b []byte) []byte {
 	b = append(b, domST2R...)
 	b = append(b, r.TxID[:]...)
 	b = appendU32(b, uint32(r.ShardID))

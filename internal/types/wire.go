@@ -3,6 +3,7 @@ package types
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Tagged wire encoding for protocol messages.
@@ -33,11 +34,32 @@ var ErrWireNesting = errors.New("types: wire encoding nested too deep")
 // shard cert -> vote replies); 16 leaves generous headroom.
 const maxWireDepth = 16
 
-// EncodeMessage returns the tagged wire encoding of msg. It fails on
-// values that are not one of the twelve protocol messages.
+// EncodeMessage returns the tagged wire encoding of msg, in a slice of
+// exactly its length that the caller owns. It fails on values that are
+// not one of the twelve protocol messages. The encoding is built in a
+// pooled scratch buffer, so growing to the size of a certificate-carrying
+// message is paid once per buffer instead of by doubling on every call.
 func EncodeMessage(msg any) ([]byte, error) {
-	return AppendMessage(make([]byte, 0, 128), msg)
+	sp := encodeScratch.Get().(*[]byte)
+	b, err := AppendMessage((*sp)[:0], msg)
+	if err != nil {
+		encodeScratch.Put(sp)
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	if cap(b) <= maxPooledScratch {
+		*sp = b[:0]
+	}
+	encodeScratch.Put(sp)
+	return out, nil
 }
+
+// maxPooledScratch bounds the buffers EncodeMessage keeps: an occasional
+// outsized message is not held for the next caller.
+const maxPooledScratch = 16 << 10
+
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // AppendMessage appends the tagged wire encoding of msg to b.
 func AppendMessage(b []byte, msg any) ([]byte, error) {

@@ -39,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -196,6 +197,13 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	return l, rec, nil
 }
 
+// frames pools the buffers Append builds its frames in; a frame is
+// written to the segment file before Append returns, so nothing keeps it.
+// Frames above maxPooledFrame are not kept for the next append.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 16 << 10
+
 // Append writes one record and blocks until it (and everything appended
 // before it) is durable. If no sync is in flight the caller leads one
 // that covers every frame written so far; otherwise it waits for the
@@ -206,7 +214,12 @@ func (l *Log) Append(rec []byte) error {
 	if l.opts.AppendLatency != nil {
 		start = time.Now()
 	}
-	frame := make([]byte, 8+len(rec))
+	fp := frames.Get().(*[]byte)
+	defer frames.Put(fp)
+	frame := slices.Grow((*fp)[:0], 8+len(rec))[:8+len(rec)]
+	if cap(frame) <= maxPooledFrame {
+		*fp = frame[:0]
+	}
 	binary.BigEndian.PutUint32(frame, uint32(len(rec)))
 	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(rec))
 	copy(frame[8:], rec)
