@@ -12,6 +12,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/replica"
+	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/verify"
 )
@@ -408,4 +409,102 @@ func TestDisableFastPathUsesST2(t *testing.T) {
 		t.Fatalf("NoFP config still used the fast path: fast=%d slow=%d",
 			st.FastPathTaken.Load(), st.SlowPathTaken.Load())
 	}
+}
+
+// TestReadFetchesCertificateWhenWritebacksMissOneReplica drops every
+// writeback to one replica of the shard, so that replica keeps serving
+// the load-time value of every key. A read whose first replies come from
+// it and from an up-to-date replica has no corroborated version, and the
+// client fetches the newer version's certificate instead. Two clients
+// increment shared counters: the fetch path is taken, every committed
+// increment is seen (the counters end at the number of commits), and the
+// committed history passes the DSG check.
+func TestReadFetchesCertificateWhenWritebacksMissOneReplica(t *testing.T) {
+	cl := basil.NewCluster(basil.Options{F: 1, Shards: 1})
+	defer cl.Close()
+	keys := []string{"c0", "c1", "c2"}
+	for _, k := range keys {
+		cl.Load(k, enc(0))
+	}
+	stale := transport.ReplicaAddr(0, 5)
+	cl.Net().SetPolicy(func(_, to transport.Addr, msg any) (time.Duration, bool) {
+		_, wb := msg.(*types.WritebackRequest)
+		return 0, wb && to == stale
+	})
+
+	const perClient = 20
+	var (
+		mu      sync.Mutex
+		checker verify.Checker
+		wg      sync.WaitGroup
+	)
+	clients := []*basil.Client{cl.NewClient(), cl.NewClient()}
+	for w, c := range clients {
+		rng := rand.New(rand.NewSource(int64(w) + 7))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				k := keys[rng.Intn(len(keys))]
+				for attempt := 0; ; attempt++ {
+					tx := c.Begin()
+					v, err := tx.Read(k)
+					if err == nil {
+						tx.Write(k, enc(dec(v)+1))
+						err = tx.Commit()
+					}
+					if err == nil {
+						mu.Lock()
+						checker.Add(verify.FromMeta(tx.Meta()))
+						mu.Unlock()
+						break
+					}
+					// Only a definite abort may retry: a timed-out commit
+					// may have committed, and the counters would then
+					// count it twice.
+					if !errors.Is(err, basil.ErrAborted) || attempt > 50 {
+						t.Errorf("increment %s: %v", k, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	var fetches uint64
+	for _, c := range clients {
+		fetches += c.Stats().CertFetches.Load()
+	}
+	if fetches == 0 {
+		t.Fatal("no read fetched a certificate although one replica missed every writeback")
+	}
+	var total uint64
+	reader := cl.NewClient()
+	if err := reader.Run(func(tx *basil.Txn) error {
+		total = 0
+		for _, k := range keys {
+			v, err := tx.Read(k)
+			if err != nil {
+				return err
+			}
+			total += dec(v)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(len(clients) * perClient); total != want {
+		t.Fatalf("counters sum to %d after %d committed increments", total, want)
+	}
+	if err := checker.CheckSerializable(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.CheckTimestampOrderConsistent(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d commits, %d certificate fetches", checker.Len(), fetches)
 }

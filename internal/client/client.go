@@ -103,6 +103,9 @@ type Stats struct {
 	// Overloads counts explicit load-shed (types.Overloaded) replies; the
 	// client answers them with jittered backoff (backoff.go).
 	Overloads atomic.Uint64
+	// CertFetches counts certificate fetches: reads that asked replicas
+	// for the certificate of an uncorroborated committed version.
+	CertFetches atomic.Uint64
 }
 
 // Client is a Basil client. It is safe for use by one goroutine at a time
@@ -249,6 +252,8 @@ func (c *Client) Deliver(_ transport.Addr, msg any) {
 	var reqID uint64
 	switch m := msg.(type) {
 	case *types.ReadReply:
+		reqID = m.ReqID
+	case *types.CertReply:
 		reqID = m.ReqID
 	case *types.ST1Reply:
 		reqID = m.ReqID

@@ -27,6 +27,7 @@ func (c *Client) initMetrics(reg *metrics.Registry) {
 	reg.BindCounter("basil_client_fallback_rounds_total", &c.Stats.FallbackRounds, lbl...)
 	reg.BindCounter("basil_client_read_retries_total", &c.Stats.ReadRetries, lbl...)
 	reg.BindCounter("basil_client_overloads_total", &c.Stats.Overloads, lbl...)
+	reg.BindCounter("basil_client_cert_fetches_total", &c.Stats.CertFetches, lbl...)
 	c.hRead = reg.Histogram("basil_client_read_latency_seconds", lbl...)
 	c.hCommit = reg.Histogram("basil_client_commit_latency_seconds", lbl...)
 	c.hTxn = reg.Histogram("basil_client_txn_latency_seconds", lbl...)

@@ -92,10 +92,12 @@ type versionKey struct {
 
 // committedTally counts the replies reporting one committed version.
 type committedTally struct {
-	replies []*types.CommittedRead
-	// verified is how many of replies had their certificates checked.
-	verified int
-	added    bool
+	value []byte
+	n     int
+	// fetched is set once the version's certificate was fetched, whether
+	// or not a valid one came back: it is fetched at most once per read.
+	fetched bool
+	added   bool
 }
 
 // preparedTally counts the replies reporting one prepared version; writer
@@ -109,10 +111,10 @@ type preparedTally struct {
 // Read returns the value of key visible at the transaction's timestamp
 // (paper §4.1 Read): it broadcasts to ReadWait+f replicas, waits for
 // ReadWait MAC-authenticated replies, validates them (f+1 agreement on
-// version, writer and value for any version, or the commit certificate of
-// a committed version no f+1 replicas corroborate), and picks the
-// highest-timestamped valid version. Reading a prepared version records a
-// dependency on its writer.
+// version, writer and value for any version, or the fetched commit
+// certificate of a committed version no f+1 replicas corroborate), and
+// picks the highest-timestamped valid version. Reading a prepared version
+// records a dependency on its writer.
 func (t *Txn) Read(key string) ([]byte, error) {
 	// Read-your-own-writes from the local buffer.
 	if v, ok := t.writes[key]; ok {
@@ -158,7 +160,7 @@ func (t *Txn) Read(key string) ([]byte, error) {
 			tos[i] = replicas[(off+i)%len(replicas)]
 		}
 		c.cfg.Net.SendAll(c.addr, tos, req)
-		val, err := t.collectRead(key, shard, reqID, ch)
+		val, err := t.collectRead(key, shard, reqID, ch, tos)
 		c.endRequest(reqID)
 		if err == nil {
 			return val, nil
@@ -175,17 +177,18 @@ func (t *Txn) Read(key string) ([]byte, error) {
 }
 
 // collectRead gathers replies until a valid choice exists. shard is the
-// shard the request targeted; replies from any other shard are rejected
-// even when correctly authenticated.
+// shard the request targeted and tos the replicas it went to; replies
+// from any other shard are rejected even when correctly authenticated.
 //
 // A version becomes a candidate once f+1 replies report it identically
 // (one reply with ReadWait = 1, Fig. 5b "one read"): at least one correct
 // replica then holds it, which for a committed version is what its
 // certificate would prove — that replica verified the certificate at
-// writeback. Certificates are checked only once ReadWait replies are in,
-// and only for uncorroborated committed versions newer than every
-// candidate, so the choice equals that of checking every certificate.
-func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([]byte, error) {
+// writeback. Replies carry no certificates. Once ReadWait replies are in,
+// the client fetches one (fetchCert) only for an uncorroborated committed
+// version newer than every candidate, so the choice equals that of
+// checking every certificate.
+func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any, tos []transport.Addr) ([]byte, error) {
 	c := t.c
 	need := c.cfg.ReadWait
 	valid := c.qc.ReadValidity()
@@ -238,21 +241,25 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 			}
 			if cr := rr.Committed; cr != nil {
 				switch {
-				case cr.WriterMeta == nil: // genesis version
+				case cr.IsGenesis():
+					// A genesis version with a timestamp is malformed.
+					if !cr.Version().IsZero() {
+						break
+					}
 					k := string(cr.Value)
 					genCount[k]++
 					if genCount[k] == valid {
 						cands = append(cands, readCandidate{value: cr.Value})
 					}
-				case cr.Cert != nil && cr.Version().Less(t.ts):
+				case cr.Version().Less(t.ts):
 					k := versionKey{cr.Version(), cr.WriterID, string(cr.Value)}
 					ct := committed[k]
 					if ct == nil {
-						ct = &committedTally{}
+						ct = &committedTally{value: cr.Value}
 						committed[k] = ct
 					}
-					ct.replies = append(ct.replies, cr)
-					if !ct.added && len(ct.replies) >= valid {
+					ct.n++
+					if !ct.added && ct.n >= valid {
 						ct.added = true
 						cands = append(cands, readCandidate{version: k.version, value: cr.Value})
 					}
@@ -278,12 +285,19 @@ func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([
 				}
 			}
 			if got >= need {
-				if cands = t.certifyNewer(key, cands, committed); len(cands) > 0 {
+				var expired bool
+				cands, expired = t.certifyNewer(key, shard, cands, committed, tos, deadline.C)
+				if len(cands) > 0 {
 					return t.chooseRead(key, cands), nil
+				}
+				if expired {
+					return nil, ErrTimeout
 				}
 			}
 		case <-deadline.C:
-			if cands = t.certifyNewer(key, cands, committed); len(cands) > 0 {
+			// No time is left to fetch a certificate: an uncorroborated
+			// version is dropped, which is always safe.
+			if len(cands) > 0 {
 				return t.chooseRead(key, cands), nil
 			}
 			return nil, ErrTimeout
@@ -302,10 +316,13 @@ func (c *Client) checkReadMAC(rr *types.ReadReply) bool {
 }
 
 // certifyNewer adds to cands the newest uncorroborated committed version
-// that is newer than every candidate and whose certificate verifies in
-// one of its replies. Replies whose certificates were checked are not
-// checked again. It returns the extended candidate list.
-func (t *Txn) certifyNewer(key string, cands []readCandidate, committed map[versionKey]*committedTally) []readCandidate {
+// that is newer than every candidate and whose certificate one of the
+// replicas in tos serves (fetchCert). A version whose fetch came back
+// empty is dropped, and the next newest is tried; each is fetched at most
+// once per read. It returns the extended candidate list, and whether the
+// read's deadline fired during a fetch.
+func (t *Txn) certifyNewer(key string, shard int32, cands []readCandidate, committed map[versionKey]*committedTally,
+	tos []transport.Addr, deadline <-chan time.Time) ([]readCandidate, bool) {
 	var best *types.Timestamp
 	for i := range cands {
 		if best == nil || best.Less(cands[i].version) {
@@ -318,7 +335,7 @@ func (t *Txn) certifyNewer(key string, cands []readCandidate, committed map[vers
 			nextK versionKey
 		)
 		for k, ct := range committed {
-			if ct.added || ct.verified == len(ct.replies) || (best != nil && !best.Less(k.version)) {
+			if ct.added || ct.fetched || (best != nil && !best.Less(k.version)) {
 				continue
 			}
 			if next == nil || nextK.version.Less(k.version) {
@@ -326,17 +343,122 @@ func (t *Txn) certifyNewer(key string, cands []readCandidate, committed map[vers
 			}
 		}
 		if next == nil {
-			return cands
+			return cands, false
 		}
-		for next.verified < len(next.replies) {
-			cr := next.replies[next.verified]
-			next.verified++
-			if t.validCommittedRead(key, cr) {
-				next.added = true
-				return append(cands, readCandidate{version: nextK.version, value: cr.Value})
-			}
+		next.fetched = true
+		ok, expired := t.fetchCert(key, shard, nextK, next, tos, deadline)
+		if ok {
+			next.added = true
+			return append(cands, readCandidate{version: nextK.version, value: next.value}), false
+		}
+		if expired {
+			return cands, true
 		}
 	}
+}
+
+// minCertGrace floors the grace window fetchCert gives the replicas
+// that have not answered yet: on an in-process network a round trip takes
+// microseconds, less than the scheduling jitter that can hold up an
+// honest replica's reply.
+const minCertGrace = time.Millisecond
+
+// fetchCert asks every replica in tos for the metadata and certificate of
+// the committed version k (a CertRequest) and reports whether a reply
+// passed validCertReply. A reply counts only when its MAC binds it to a
+// replica that was asked and has not answered yet, so a replica can
+// answer only for itself, and at most one certificate per replica is
+// checked. The fetch gives up on the version once every replica asked
+// has answered without a valid certificate, or once all but f of them
+// have and the rest have had as long again as that took (at least
+// minCertGrace): the missing ones may all be faulty, and a correct one
+// answers about as fast as the others. So up to f replicas that stay
+// silent cost one round trip of the correct replicas, not the read's
+// deadline. expired reports that deadline fired first.
+func (t *Txn) fetchCert(key string, shard int32, k versionKey, ct *committedTally,
+	tos []transport.Addr, deadline <-chan time.Time) (ok, expired bool) {
+	c := t.c
+	c.Stats.CertFetches.Add(1)
+	reqID, ch := c.newRequest(len(tos))
+	defer c.endRequest(reqID)
+	start := time.Now()
+	req := &types.CertRequest{ReqID: reqID, ClientID: uint64(c.cfg.ID), TxID: k.writer}
+	if c.keys != nil {
+		req.ClientKey = c.keys.Public()
+	}
+	c.cfg.Net.SendAll(c.addr, tos, req)
+	var asked, answered quorum.ReplicaSet
+	left := 0 // replicas asked, yet to answer
+	for _, a := range tos {
+		if asked.Add(a.Index) {
+			left++
+		}
+	}
+	opensGrace := max(left-c.qc.F, 1) // the answers that open the grace window
+	var (
+		graceT *time.Timer
+		grace  <-chan time.Time
+	)
+	defer func() {
+		if graceT != nil {
+			graceT.Stop()
+		}
+	}()
+	for heard := 0; left > 0; {
+		var r *types.CertReply
+		select {
+		case m := <-ch:
+			var isReply bool
+			if r, isReply = m.(*types.CertReply); !isReply {
+				continue // no shed reply is sent for a fetch
+			}
+		case <-grace:
+			return false, false
+		case <-deadline:
+			return false, true
+		}
+		// As in collectRead: an index outside the shard names no
+		// replica of it (a negative one no replica at all).
+		if r.ShardID != shard || r.ReplicaID < 0 || int(r.ReplicaID) >= c.qc.N() ||
+			!asked.Has(r.ReplicaID) || answered.Has(r.ReplicaID) || !c.checkCertMAC(r) {
+			continue
+		}
+		answered.Add(r.ReplicaID)
+		if c.validCertReply(key, k, ct.value, r) {
+			return true, false
+		}
+		left--
+		if heard++; heard == opensGrace && left > 0 {
+			graceT = time.NewTimer(max(time.Since(start), minCertGrace))
+			grace = graceT.C
+		}
+	}
+	return false, false
+}
+
+// checkCertMAC reports whether r carries a valid MAC from the replica it
+// names. Under the NoProofs scheme there is no MAC to check.
+func (c *Client) checkCertMAC(r *types.CertReply) bool {
+	if c.keys == nil {
+		return true
+	}
+	k, ok := c.keys.MACKey(c.cfg.Registry, c.cfg.SignerOf(r.ShardID, r.ReplicaID))
+	return ok && cryptoutil.CheckCertMAC(&k, r)
+}
+
+// validCertReply reports whether a fetched certificate proves the
+// committed version k of key with the given value: H(Meta) must be the
+// writer id the replies named, Meta's timestamp the version they named,
+// Meta must write (key, value), and Cert must be a valid commit
+// certificate for Meta.
+func (c *Client) validCertReply(key string, k versionKey, value []byte, r *types.CertReply) bool {
+	if r.Meta == nil || r.Cert == nil || r.Cert.Decision != types.DecisionCommit {
+		return false
+	}
+	if r.Meta.Timestamp != k.version || !writesValue(r.Meta, key, value) || r.Meta.ID() != k.writer {
+		return false
+	}
+	return c.qv.VerifyDecisionCert(r.Cert, r.Meta) == nil
 }
 
 // validPreparedRead reports whether a prepared reply's writer metadata is
@@ -355,16 +477,6 @@ func writesValue(meta *types.TxMeta, key string, value []byte) bool {
 		}
 	}
 	return false
-}
-
-// validCommittedRead verifies a committed version's certificate and its
-// binding to (key, value): H(meta) must equal the certificate's tx id and
-// the write must appear in the writer's write set.
-func (t *Txn) validCommittedRead(key string, cr *types.CommittedRead) bool {
-	if !writesValue(cr.WriterMeta, key, cr.Value) {
-		return false
-	}
-	return t.c.qv.VerifyDecisionCert(cr.Cert, cr.WriterMeta) == nil
 }
 
 // chooseRead picks the highest-timestamped valid candidate, records the

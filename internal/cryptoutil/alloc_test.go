@@ -13,7 +13,7 @@ import (
 func macReply() *types.ReadReply {
 	v := types.Timestamp{Time: 9, ClientID: 4}
 	return &types.ReadReply{ReqID: 77, Key: "user1234", ShardID: 0, ReplicaID: 3,
-		Committed: &types.CommittedRead{Value: make([]byte, 64), WriterID: types.TxID{1}, WriterMeta: &types.TxMeta{Timestamp: v}},
+		Committed: &types.CommittedRead{Value: make([]byte, 64), WriterID: types.TxID{1}, Timestamp: v},
 		Prepared:  &types.PreparedRead{Value: make([]byte, 64), WriterID: types.TxID{2}, WriterMeta: &types.TxMeta{Timestamp: v}},
 	}
 }
@@ -72,7 +72,7 @@ func FuzzReadMAC(f *testing.F) {
 		rr := &types.ReadReply{ReqID: reqID, Key: k, ShardID: shard, ReplicaID: replica}
 		meta := &types.TxMeta{Timestamp: types.Timestamp{Time: ts, ClientID: reqID}}
 		if which&1 != 0 {
-			rr.Committed = &types.CommittedRead{Value: value, WriterID: types.TxID{byte(ts)}, WriterMeta: meta}
+			rr.Committed = &types.CommittedRead{Value: value, WriterID: types.TxID{byte(ts)}, Timestamp: meta.Timestamp}
 		}
 		if which&2 != 0 {
 			rr.Prepared = &types.PreparedRead{Value: value, WriterID: types.TxID{byte(reqID)}, WriterMeta: meta}

@@ -19,7 +19,9 @@ import (
 // signature would (PBFT's authenticator argument), at a fraction of the
 // cost. The key comes from an X25519 exchange between the client's
 // ephemeral key, carried in each ReadRequest, and the replica's registry
-// key.
+// key. The certificate-fetch reply that may follow a read (CertReply) is
+// MACed under the same key; the payloads' domain tags keep the two kinds
+// apart.
 
 // macDomain separates read-reply MAC keys from any other use of the
 // X25519 shared secret.
@@ -50,7 +52,20 @@ func deriveMACKey(shared, clientPub, replicaPub []byte) MACKey {
 // (FuzzReadMAC).
 func SumReadMAC(k *MACKey, rr *types.ReadReply) [32]byte {
 	bp := macBufPool.Get().(*[]byte)
-	b := rr.AppendPayload(appendPaddedKey((*bp)[:0], k, hmacIpad))
+	return finishMAC(k, bp, rr.AppendPayload(appendPaddedKey((*bp)[:0], k, hmacIpad)))
+}
+
+// SumCertMAC returns the HMAC-SHA256 of r's payload under k, computed as
+// SumReadMAC computes a read reply's.
+func SumCertMAC(k *MACKey, r *types.CertReply) [32]byte {
+	bp := macBufPool.Get().(*[]byte)
+	return finishMAC(k, bp, r.AppendPayload(appendPaddedKey((*bp)[:0], k, hmacIpad)))
+}
+
+// finishMAC completes an HMAC-SHA256 under k whose inner input (the
+// ipad-XORed key, then the payload) is b, built in the pooled buffer bp,
+// and returns bp to the pool.
+func finishMAC(k *MACKey, bp *[]byte, b []byte) [32]byte {
 	inner := sha256.Sum256(b)
 	if cap(b) <= maxPooledMACBuf {
 		*bp = b
@@ -92,6 +107,13 @@ var macBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &
 func CheckReadMAC(k *MACKey, rr *types.ReadReply) bool {
 	want := SumReadMAC(k, rr)
 	return subtle.ConstantTimeCompare(want[:], rr.MAC[:]) == 1
+}
+
+// CheckCertMAC reports, in constant time, whether r carries the MAC of
+// its payload under k.
+func CheckCertMAC(k *MACKey, r *types.CertReply) bool {
+	want := SumCertMAC(k, r)
+	return subtle.ConstantTimeCompare(want[:], r.MAC[:]) == 1
 }
 
 // ClientKeys is a client's ephemeral X25519 key pair plus the MAC keys it
@@ -195,6 +217,16 @@ func (c *MACKeyCache) Key(clientPub [32]byte) (key MACKey, ok bool) {
 	c.keys[clientPub] = key
 	c.mu.Unlock()
 	return key, true
+}
+
+// Cached returns the MAC key shared with clientPub if the cache holds
+// it, without running an exchange. A path that must stay cheap for
+// whatever key a sender names (answering a shed request) uses it.
+func (c *MACKeyCache) Cached(clientPub [32]byte) (key MACKey, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key, ok = c.keys[clientPub]
+	return key, ok
 }
 
 // Len returns the number of cached keys.

@@ -3,6 +3,8 @@ package cryptoutil
 import (
 	"bytes"
 	"crypto/ed25519"
+	"crypto/hmac"
+	"crypto/sha256"
 	"math/rand"
 	"sync"
 	"testing"
@@ -71,6 +73,47 @@ func TestMACKeyAgreement(t *testing.T) {
 	k0, _ := cli.MACKey(reg, 0)
 	if k1, _ := NewClientKeys().MACKey(reg, 0); k1 == k0 {
 		t.Fatal("two clients share a MAC key")
+	}
+}
+
+// TestCertMAC: SumCertMAC is crypto/hmac's HMAC-SHA256 of the
+// certificate reply's payload, for an empty reply and one carrying a
+// certificate larger than a pooled buffer, and a change to any field,
+// the certificate included, fails CheckCertMAC.
+func TestCertMAC(t *testing.T) {
+	var k MACKey
+	copy(k[:], "certificate-reply-mac-key-000001")
+	meta := &types.TxMeta{Timestamp: types.Timestamp{Time: 8, ClientID: 9},
+		WriteSet: []types.WriteEntry{{Key: "k", Value: make([]byte, 2*maxPooledMACBuf)}}}
+	cert := &types.DecisionCert{TxID: meta.ID(), Decision: types.DecisionCommit}
+	for _, r := range []*types.CertReply{
+		{ReqID: 3, ShardID: 1, ReplicaID: 2},
+		{ReqID: 3, ShardID: 1, ReplicaID: 2, Meta: meta, Cert: cert},
+	} {
+		m := hmac.New(sha256.New, k[:])
+		m.Write(r.AppendPayload(nil))
+		r.MAC = SumCertMAC(&k, r)
+		if !hmac.Equal(r.MAC[:], m.Sum(nil)) || !CheckCertMAC(&k, r) {
+			t.Fatalf("SumCertMAC of %+v is not the HMAC of its payload", r)
+		}
+		for name, tamper := range map[string]func(*types.CertReply){
+			"replica": func(c *types.CertReply) { c.ReplicaID = 4 },
+			"request": func(c *types.CertReply) { c.ReqID = 4 },
+			"cert":    func(c *types.CertReply) { c.Cert = &types.DecisionCert{TxID: cert.TxID, Decision: types.DecisionAbort} },
+			"emptied-or-filled": func(c *types.CertReply) {
+				if c.Meta == nil {
+					c.Meta, c.Cert = meta, cert
+				} else {
+					c.Meta, c.Cert = nil, nil
+				}
+			},
+		} {
+			c := *r
+			tamper(&c)
+			if CheckCertMAC(&k, &c) {
+				t.Fatalf("%s: tampered reply %+v verified", name, c)
+			}
+		}
 	}
 }
 

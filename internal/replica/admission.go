@@ -173,6 +173,8 @@ func clientIDOf(msg any) (uint64, bool) {
 	switch m := msg.(type) {
 	case *types.ReadRequest:
 		return m.ClientID, true
+	case *types.CertRequest:
+		return m.ClientID, true
 	case *types.ST1Request:
 		return m.ClientID, true
 	case *types.ST2Request:
@@ -307,8 +309,13 @@ func (r *Replica) DispatchDepth() int64 { return r.adm.depth() }
 // shedReply answers a shed request with Overloaded so the client backs off
 // instead of hammering its deadline. Suspects get a 10x longer hint — the
 // rate limit half of deprioritization. Sent directly (never through the
-// pool this queue guards); the reply is tiny and unsigned.
+// pool this queue guards); the reply is tiny and unsigned. A shed
+// certificate fetch gets an empty certificate reply instead (shedCert).
 func (a *admission) shedReply(from transport.Addr, msg any, sc *clientScore) {
+	if m, ok := msg.(*types.CertRequest); ok {
+		a.r.shedCert(from, m)
+		return
+	}
 	reqID, ok := reqIDOf(msg)
 	if !ok {
 		return

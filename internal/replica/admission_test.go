@@ -94,6 +94,56 @@ func TestAdmissionHardCapSheds(t *testing.T) {
 	r.adm.release()
 }
 
+// TestAdmissionShedCertFetchAnswersEmpty: a shed certificate fetch is
+// answered with an empty certificate reply MACed under the client's
+// cached key, which the client counts as this replica's answer, not with
+// an unauthenticated Overloaded. A fetch naming a key the replica has not
+// cached is shed silently, without a key exchange.
+func TestAdmissionShedCertFetchAnswersEmpty(t *testing.T) {
+	r, net := newQueuedReplica(t, 1)
+	defer net.Close()
+	defer r.Close()
+	addr := transport.ClientAddr(9)
+	got := make(chan any, 8)
+	net.Register(addr, transport.HandlerFunc(func(_ transport.Addr, msg any) { got <- msg }))
+	if !r.adm.admit(addr, &types.ST1Request{ReqID: 1, ClientID: 9}) {
+		t.Fatal("first arrival was shed")
+	}
+	defer r.adm.release()
+
+	ck := cryptoutil.NewClientKeys()
+	k, _ := ck.MACKey(r.cfg.Registry, r.cfg.SignerID)
+	if _, ok := r.macKeys.Key(ck.Public()); !ok { // as the client's read would
+		t.Fatal("replica derived no MAC key")
+	}
+	if r.adm.admit(addr, &types.CertRequest{ReqID: 2, ClientID: 9, ClientKey: ck.Public()}) {
+		t.Fatal("fetch admitted over the cap")
+	}
+	select {
+	case msg := <-got:
+		cr, ok := msg.(*types.CertReply)
+		if !ok || cr.ReqID != 2 || cr.ReplicaID != 0 || cr.Meta != nil || cr.Cert != nil || !cryptoutil.CheckCertMAC(&k, cr) {
+			t.Fatalf("shed fetch answered with %#v, want an empty, MACed certificate reply", msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("shed fetch not answered")
+	}
+
+	cached := r.macKeys.Len()
+	other := cryptoutil.NewClientKeys()
+	if r.adm.admit(addr, &types.CertRequest{ReqID: 3, ClientID: 9, ClientKey: other.Public()}) {
+		t.Fatal("fetch admitted over the cap")
+	}
+	select {
+	case msg := <-got:
+		t.Fatalf("fetch with an uncached key answered with %#v", msg)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := r.macKeys.Len(); n != cached {
+		t.Fatalf("shedding derived a key: cache holds %d, want %d", n, cached)
+	}
+}
+
 func awaitOverload(t *testing.T, ch chan *types.Overloaded) *types.Overloaded {
 	t.Helper()
 	select {

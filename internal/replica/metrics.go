@@ -27,12 +27,13 @@ const (
 	kindInvokeFB
 	kindElectFB
 	kindDecFB
+	kindCert
 	kindCount
 )
 
 var kindNames = [kindCount]string{
 	"read", "abort_read", "st1", "st2", "writeback",
-	"invoke_fb", "elect_fb", "dec_fb",
+	"invoke_fb", "elect_fb", "dec_fb", "cert",
 }
 
 // replicaMetrics holds the replica's live instrument handles. All fields

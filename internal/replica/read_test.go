@@ -114,3 +114,69 @@ func TestReadSchemeNoneReplies(t *testing.T) {
 		t.Fatalf("NoProofs read reply %+v, want v0 with no MAC", rr)
 	}
 }
+
+// TestCertFetchServesOnlyCommittedCertified: a certificate fetch returns
+// the writer's metadata and certificate for a transaction the replica
+// holds committed with a certificate, and an empty reply for one it holds
+// prepared, aborted, committed without a certificate, or not at all.
+// Every reply carries a MAC the client can check; a request without a
+// valid exchange key gets none.
+func TestCertFetchServesOnlyCommittedCertified(t *testing.T) {
+	r, net := newTestReplica(t, 1)
+	defer net.Close()
+	defer r.Close()
+	metaAt := func(ts uint64) *types.TxMeta { return st1For("k", ts).Meta }
+	committed, prepared, aborted, uncertified := metaAt(10), metaAt(11), metaAt(12), metaAt(13)
+	cert := &types.DecisionCert{TxID: committed.ID(), Decision: types.DecisionCommit}
+	r.store.Finalize(committed.ID(), committed, types.DecisionCommit, cert)
+	r.store.RestorePrepared(prepared, prepared.ID())
+	r.store.Finalize(aborted.ID(), aborted, types.DecisionAbort, &types.DecisionCert{TxID: aborted.ID(), Decision: types.DecisionAbort})
+	r.store.Finalize(uncertified.ID(), uncertified, types.DecisionCommit, nil)
+
+	addr := transport.ClientAddr(7)
+	got := make(chan *types.CertReply, 1)
+	net.Register(addr, transport.HandlerFunc(func(_ transport.Addr, msg any) {
+		if cr, ok := msg.(*types.CertReply); ok {
+			got <- cr
+		}
+	}))
+	ck := cryptoutil.NewClientKeys()
+	k, ok := ck.MACKey(r.cfg.Registry, r.cfg.SignerID)
+	if !ok {
+		t.Fatal("no MAC key for the replica")
+	}
+	fetch := func(id types.TxID) *types.CertReply {
+		t.Helper()
+		r.onCert(addr, &types.CertRequest{ReqID: 3, ClientID: 7, TxID: id, ClientKey: ck.Public()})
+		select {
+		case cr := <-got:
+			if cr.ReqID != 3 || cr.ShardID != 0 || cr.ReplicaID != 0 {
+				t.Fatalf("reply %+v does not echo the request and name the replica", cr)
+			}
+			if !cryptoutil.CheckCertMAC(&k, cr) {
+				t.Fatalf("reply %+v carries no valid MAC", cr)
+			}
+			return cr
+		case <-time.After(5 * time.Second):
+			t.Fatal("no certificate reply")
+			return nil
+		}
+	}
+	if cr := fetch(committed.ID()); cr.Meta != committed || cr.Cert != cert {
+		t.Fatalf("committed transaction: reply %+v, want its meta and certificate", cr)
+	}
+	for name, id := range map[string]types.TxID{
+		"prepared": prepared.ID(), "aborted": aborted.ID(),
+		"uncertified": uncertified.ID(), "unknown": {0xEE},
+	} {
+		if cr := fetch(id); cr.Meta != nil || cr.Cert != nil {
+			t.Fatalf("%s transaction: reply %+v, want an empty one", name, cr)
+		}
+	}
+	r.onCert(addr, &types.CertRequest{ReqID: 4, ClientID: 7, TxID: committed.ID()}) // zero exchange key
+	select {
+	case cr := <-got:
+		t.Fatalf("request without an exchange key answered with %+v", cr)
+	case <-time.After(50 * time.Millisecond):
+	}
+}

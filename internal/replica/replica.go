@@ -550,6 +550,9 @@ func (r *Replica) dispatch(from transport.Addr, msg any) {
 	case *types.ReadRequest:
 		kind = kindRead
 		r.onRead(from, m)
+	case *types.CertRequest:
+		kind = kindCert
+		r.onCert(from, m)
 	case *types.AbortRead:
 		kind = kindAbortRead
 		r.store.DropRTS(m.Keys, m.Ts)

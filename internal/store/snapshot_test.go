@@ -87,9 +87,13 @@ func TestGCCollectsFinalizedTxns(t *testing.T) {
 	if _, ok := s.Tx(ma.ID()); ok {
 		t.Fatal("aborted tx below watermark survived GC")
 	}
-	// The retained writer still backs reads with metadata.
+	// The retained writer still backs reads: the reported writer id finds
+	// its metadata, which a certificate fetch serves.
 	r := s.Read("x", ts(100, 9))
-	if r.Committed == nil || r.Committed.WriterMeta == nil {
+	if r.Committed == nil || r.Committed.IsGenesis() {
+		t.Fatal("live committed version lost its writer")
+	}
+	if rec, ok := s.Tx(r.Committed.WriterID); !ok || rec.Meta == nil {
 		t.Fatal("live committed version lost its writer record")
 	}
 	if dropped < 4 { // ≥3 versions + ≥3 txns + abort bookkeeping
@@ -129,7 +133,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// Reads match.
 	r := s2.Read("x", ts(15, 3))
-	if r.Committed == nil || string(r.Committed.Value) != "v10" || r.Committed.WriterMeta == nil {
+	if r.Committed == nil || string(r.Committed.Value) != "v10" || r.Committed.WriterID != mc.ID() || r.Committed.Version() != mc.Timestamp {
 		t.Fatalf("restored committed read wrong: %+v", r.Committed)
 	}
 	rp := s2.Read("y", ts(30, 3))

@@ -394,14 +394,8 @@ func (s *Store) Read(k string, ts types.Timestamp) ReadResult {
 		}
 		if w.committed() {
 			if res.Committed == nil {
-				rec := w.writer
-				cr := &types.CommittedRead{Value: e.valueOf(k, w)}
-				if rec != nil {
-					cr.WriterID = recID(rec)
-					cr.WriterMeta = rec.Meta
-					cr.Cert = rec.Cert
-				}
-				res.Committed = cr
+				res.Committed = &types.CommittedRead{Value: e.valueOf(k, w),
+					WriterID: recID(w.writer), Timestamp: w.ver()}
 			}
 			// Prepared versions older than the newest committed one are
 			// irrelevant: the committed branch dominates them.
@@ -834,10 +828,10 @@ func (s *Store) GC(watermark types.Timestamp) int {
 	s.global.Lock()
 	defer s.global.Unlock()
 	dropped := 0
-	// Writers of surviving versions stay in the transaction table: Read
-	// serves their metadata and certificate alongside the value, and a
-	// missing record would make a real committed version indistinguishable
-	// from an unprovable one.
+	// Writers of surviving versions stay in the transaction table: Tx
+	// serves their metadata and certificate to a client that fetches them
+	// for a version Read reported, and a missing record would make a real
+	// committed version indistinguishable from an unprovable one.
 	liveWriters := make(map[*TxRecord]struct{})
 	for si := range s.stripes {
 		for _, e := range s.stripes[si].keys {

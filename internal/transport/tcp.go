@@ -584,14 +584,25 @@ func (t *TCP) writeLoop(c *tcpConn) {
 	}
 }
 
+// maxKeptReadBuf bounds the read buffer a connection keeps between
+// frames; every honest protocol frame fits well inside it.
+const maxKeptReadBuf = 64 << 10
+
 // readLoop decodes frames arriving on c and delivers them to local
 // handlers. With learnReverse set (inbound connections) it records the
 // sender's reverse route so replies to unbooked peers can be sent.
+//
+// Every frame is read into one per-connection buffer that grows to the
+// largest frame seen, up to maxKeptReadBuf: types.DecodeMessage copies
+// everything it keeps out of its input, so no delivered message aliases
+// the buffer. A larger frame is read into a buffer of its own, so one
+// outsized frame does not pin its size for the connection's lifetime.
 func (t *TCP) readLoop(c *tcpConn, learnReverse bool) {
 	defer t.wg.Done()
 	defer t.evict(c)
 	br := bufio.NewReaderSize(c.c, t.opts.BufSize)
 	var lenbuf [4]byte
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(br, lenbuf[:]); err != nil {
 			return
@@ -600,7 +611,16 @@ func (t *TCP) readLoop(c *tcpConn, learnReverse bool) {
 		if n < 2*addrWireSize || n > t.opts.MaxFrame {
 			return
 		}
-		frame := make([]byte, n)
+		var frame []byte
+		switch {
+		case n <= cap(buf):
+			frame = buf[:n]
+		case n <= maxKeptReadBuf:
+			buf = make([]byte, n)
+			frame = buf
+		default:
+			frame = make([]byte, n)
+		}
 		if _, err := io.ReadFull(br, frame); err != nil {
 			return
 		}

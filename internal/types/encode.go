@@ -117,7 +117,9 @@ func (d *decoder) u32() uint32 {
 	return v
 }
 
-func (d *decoder) bytes() []byte {
+// next consumes a length-prefixed byte string and returns it in place,
+// aliasing the input: callers copy it out (bytes, str).
+func (d *decoder) next() []byte {
 	n := int(d.u32())
 	if d.err != nil {
 		return nil
@@ -126,13 +128,23 @@ func (d *decoder) bytes() []byte {
 		d.err = ErrTruncated
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, d.b)
+	v := d.b[:n:n]
 	d.b = d.b[n:]
 	return v
 }
 
-func (d *decoder) str() string { return string(d.bytes()) }
+// bytes decodes a length-prefixed byte string into a fresh slice.
+func (d *decoder) bytes() []byte {
+	v := d.next()
+	if d.err != nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(v)), v...)
+}
+
+// str decodes a length-prefixed string, converting straight from the
+// input: one allocation, not a []byte copy and then a string.
+func (d *decoder) str() string { return string(d.next()) }
 
 func (d *decoder) ts() Timestamp {
 	return Timestamp{Time: d.u64(), ClientID: d.u64()}

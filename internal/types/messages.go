@@ -25,8 +25,10 @@ const (
 	MsgInvokeFB
 	MsgElectFB
 	MsgDecFB
-	MsgAbortRead  // release RTS after client-side Abort during execution
-	MsgOverloaded // explicit load-shed reply from an over-capacity replica
+	MsgAbortRead   // release RTS after client-side Abort during execution
+	MsgOverloaded  // explicit load-shed reply from an over-capacity replica
+	MsgCertRequest // client fetch of a committed version's certificate
+	MsgCertReply   // a replica's answer to a CertRequest
 )
 
 // Signature authenticates a replica reply. Exactly one of Direct or Batch
@@ -61,6 +63,7 @@ const (
 	domST1R    = "basil/st1r/"
 	domST2R    = "basil/st2r/"
 	domRead    = "basil/read/"
+	domCertR   = "basil/certr/"
 	domElectFB = "basil/electfb/"
 	domDecFB   = "basil/decfb/"
 )
@@ -81,29 +84,31 @@ type ReadRequest struct {
 	TC TraceContext
 }
 
-// CommittedRead is a replica's committed branch of a read reply. A client
-// accepts it when f+1 replicas report the same (version, WriterID, Value);
-// otherwise it verifies the version against the commit certificate:
-// H(WriterMeta) must equal Cert.TxID and (Key,Value) must appear in
-// WriterMeta.WriteSet. The genesis version (zero timestamp) carries no
-// writer and no certificate and is trusted as the load-time state.
+// CommittedRead is a replica's committed branch of a read reply: the
+// version, its writer's transaction id and the value, all MACed with the
+// reply. A client accepts it when f+1 replicas report the same (version,
+// WriterID, Value); otherwise it fetches the writer's metadata and commit
+// certificate with a CertRequest and checks them against the reply. The
+// genesis version (zero WriterID and Timestamp) has no writer and no
+// certificate and is trusted as the load-time state once f+1 replicas
+// report its value.
 type CommittedRead struct {
 	Value []byte
 	// WriterID is the writer's transaction id as the replica's store
 	// holds it (zero for genesis). It is MACed with the reply, so replies
 	// that agree on it agree on the writer.
-	WriterID   TxID
-	WriterMeta *TxMeta       // nil for the genesis version
-	Cert       *DecisionCert // nil for the genesis version
+	WriterID TxID
+	// Timestamp is the version: the writer's timestamp, zero for
+	// genesis.
+	Timestamp Timestamp
 }
 
 // Version returns the committed version's timestamp.
-func (c *CommittedRead) Version() Timestamp {
-	if c.WriterMeta == nil {
-		return Timestamp{}
-	}
-	return c.WriterMeta.Timestamp
-}
+func (c *CommittedRead) Version() Timestamp { return c.Timestamp }
+
+// IsGenesis reports whether c is the genesis version, which has no
+// writer.
+func (c *CommittedRead) IsGenesis() bool { return c.WriterID == TxID{} }
 
 // PreparedRead is a replica's prepared branch of a read reply: a visible but
 // uncommitted write. Clients accept it only when f+1 replicas return the
@@ -143,9 +148,8 @@ type ReadReply struct {
 }
 
 // AppendPayload appends the MACed bytes of the read reply to b. The
-// payload covers the versions, writer ids and values, not the
-// certificates or writer metadata (the client checks those against the
-// writer id itself).
+// payload covers the versions, writer ids and values, not the prepared
+// writer's metadata (the client checks it against the writer id itself).
 func (r *ReadReply) AppendPayload(b []byte) []byte {
 	b = append(b, domRead...)
 	b = appendU64(b, r.ReqID)
@@ -169,6 +173,47 @@ func (r *ReadReply) AppendPayload(b []byte) []byte {
 		b = append(b, 0)
 	}
 	return b
+}
+
+// CertRequest asks a replica for the metadata and commit certificate of
+// transaction TxID (paper §4.1: a client may validate a committed read by
+// its C-CERT). A client sends it only for a committed version that no
+// f+1 replicas corroborate and that is newer than every candidate it
+// could otherwise read.
+type CertRequest struct {
+	ReqID    uint64
+	ClientID uint64
+	TxID     TxID
+	// ClientKey is the client's X25519 public key, as in ReadRequest:
+	// the replica MACs its reply under the key the two share. Zero under
+	// the NoProofs scheme.
+	ClientKey [32]byte
+}
+
+// CertReply answers a CertRequest with the transaction's metadata and
+// commit certificate, or with neither (Meta and Cert nil) when the
+// replica holds no committed, certified record for the id or shed the
+// request. Like a read reply it carries a MAC under the key the replica
+// shares with the requesting client (zero under the NoProofs scheme), so
+// no replica can answer, empty or not, in another's name.
+type CertReply struct {
+	ReqID     uint64
+	ShardID   int32
+	ReplicaID int32 // index within the shard
+	Meta      *TxMeta
+	Cert      *DecisionCert
+	MAC       [32]byte
+}
+
+// AppendPayload appends the MACed bytes of the certificate reply to b:
+// all of it but the MAC.
+func (r *CertReply) AppendPayload(b []byte) []byte {
+	b = append(b, domCertR...)
+	b = appendU64(b, r.ReqID)
+	b = appendU32(b, uint32(r.ShardID))
+	b = appendU32(b, uint32(r.ReplicaID))
+	b = appendTxMetaOpt(b, r.Meta)
+	return appendDecisionCertOpt(b, r.Cert)
 }
 
 // AbortRead tells replicas to drop the read timestamps a transaction placed

@@ -6,6 +6,12 @@
 // Everything here is a plain value type. Messages are immutable once sent;
 // the in-process transport passes pointers, so receivers must not mutate
 // payloads they did not create.
+//
+// Decoding never aliases its input: DecodeMessage, DecodeTxMeta and
+// DecodeDecisionCert copy every byte string, string, id, hash and
+// signature out of the buffer they parse. A transport may therefore
+// decode each frame from one reused read buffer (TestWireDecodeOwnsBytes
+// and FuzzDecodeMessage hold the decoder to this).
 package types
 
 import (

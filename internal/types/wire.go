@@ -36,7 +36,7 @@ const maxWireDepth = 16
 
 // EncodeMessage returns the tagged wire encoding of msg, in a slice of
 // exactly its length that the caller owns. It fails on values that are
-// not one of the twelve protocol messages. The encoding is built in a
+// not one of the fourteen protocol messages. The encoding is built in a
 // pooled scratch buffer, so growing to the size of a certificate-carrying
 // message is paid once per buffer instead of by doubling on every call.
 func EncodeMessage(msg any) ([]byte, error) {
@@ -139,6 +139,20 @@ func AppendMessage(b []byte, msg any) ([]byte, error) {
 			b = appendVoteTally(b, &m.Tallies[i])
 		}
 		b = appendTraceTrailer(b, m.TC)
+	case *CertRequest:
+		b = append(b, byte(MsgCertRequest))
+		b = appendU64(b, m.ReqID)
+		b = appendU64(b, m.ClientID)
+		b = append(b, m.TxID[:]...)
+		b = append(b, m.ClientKey[:]...)
+	case *CertReply:
+		b = append(b, byte(MsgCertReply))
+		b = appendU64(b, m.ReqID)
+		b = appendU32(b, uint32(m.ShardID))
+		b = appendU32(b, uint32(m.ReplicaID))
+		b = appendTxMetaOpt(b, m.Meta)
+		b = appendDecisionCertOpt(b, m.Cert)
+		b = append(b, m.MAC[:]...)
 	case *Overloaded:
 		b = append(b, byte(MsgOverloaded))
 		b = appendU64(b, m.ReqID)
@@ -168,7 +182,8 @@ func AppendMessage(b []byte, msg any) ([]byte, error) {
 
 // DecodeMessage parses one tagged message from b, returning the decoded
 // message (always a pointer type matching what handlers switch on) and
-// the remaining bytes.
+// the remaining bytes. The message never aliases b (see the package
+// doc), so the caller may reuse b once DecodeMessage returns.
 func DecodeMessage(b []byte) (any, []byte, error) {
 	if len(b) == 0 {
 		return nil, nil, ErrTruncated
@@ -227,6 +242,14 @@ func DecodeMessage(b []byte) (any, []byte, error) {
 		m.Decision = Decision(d.u8())
 		m.Tallies = d.voteTallies()
 		m.TC = d.traceTrailer()
+		msg = m
+	case MsgCertRequest:
+		msg = &CertRequest{ReqID: d.u64(), ClientID: d.u64(), TxID: d.txid(), ClientKey: d.hash32()}
+	case MsgCertReply:
+		m := &CertReply{ReqID: d.u64(), ShardID: int32(d.u32()), ReplicaID: int32(d.u32())}
+		m.Meta = d.txMetaOpt()
+		m.Cert = d.decisionCertOpt(0)
+		m.MAC = d.hash32()
 		msg = m
 	case MsgOverloaded:
 		msg = &Overloaded{ReqID: d.u64(), ShardID: int32(d.u32()),
@@ -316,8 +339,7 @@ func appendCommittedRead(b []byte, c *CommittedRead) []byte {
 	b = append(b, 1)
 	b = appendBytes(b, c.Value)
 	b = append(b, c.WriterID[:]...)
-	b = appendTxMetaOpt(b, c.WriterMeta)
-	return appendDecisionCertOpt(b, c.Cert)
+	return c.Timestamp.AppendCanonical(b)
 }
 
 func appendPreparedRead(b []byte, p *PreparedRead) []byte {
@@ -538,10 +560,7 @@ func (d *decoder) committedRead() *CommittedRead {
 	if d.u8() == 0 || d.err != nil {
 		return nil
 	}
-	c := &CommittedRead{Value: d.bytes(), WriterID: d.txid()}
-	c.WriterMeta = d.txMetaOpt()
-	c.Cert = d.decisionCertOpt(0)
-	return c
+	return &CommittedRead{Value: d.bytes(), WriterID: d.txid(), Timestamp: d.ts()}
 }
 
 func (d *decoder) preparedRead() *PreparedRead {

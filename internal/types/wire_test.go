@@ -119,7 +119,7 @@ func wireMessages(seed int64) []any {
 			ClientKey: w.hash(), TC: TraceContext{TraceID: w.r.Uint64(), Sampled: true}},
 		&ReadReply{
 			ReqID: w.r.Uint64(), Key: "balance", ShardID: 2, ReplicaID: 4,
-			Committed: &CommittedRead{Value: w.bytes(64), WriterID: w.txid(), WriterMeta: w.meta(), Cert: w.cert()},
+			Committed: &CommittedRead{Value: w.bytes(64), WriterID: w.txid(), Timestamp: w.ts()},
 			Prepared:  &PreparedRead{Value: w.bytes(64), WriterID: w.txid(), WriterMeta: w.meta()},
 			MAC:       w.hash(),
 		},
@@ -147,6 +147,8 @@ func wireMessages(seed int64) []any {
 		},
 		&Overloaded{ReqID: w.r.Uint64(), ShardID: 2, ReplicaID: 5,
 			RetryAfterMicros: w.r.Uint64()},
+		&CertRequest{ReqID: w.r.Uint64(), ClientID: w.r.Uint64(), TxID: w.txid(), ClientKey: w.hash()},
+		&CertReply{ReqID: w.r.Uint64(), ShardID: 1, ReplicaID: 3, Meta: w.meta(), Cert: w.cert(), MAC: w.hash()},
 		&ElectFB{TxID: w.txid(), ShardID: 1, ReplicaID: 2, Decision: DecisionCommit,
 			View: 2, Sig: w.sig(false)},
 		&DecFB{TxID: w.txid(), ShardID: 1, LeaderID: 3, Decision: DecisionAbort,
@@ -162,8 +164,8 @@ func wireMessages(seed int64) []any {
 // original bytes, which also proves field-level equality.
 func TestWireRoundTripAllMessages(t *testing.T) {
 	msgs := wireMessages(7)
-	if len(msgs) != 12 {
-		t.Fatalf("expected all 12 protocol messages, have %d", len(msgs))
+	if len(msgs) != 14 {
+		t.Fatalf("expected all 14 protocol messages, have %d", len(msgs))
 	}
 	for _, msg := range msgs {
 		enc, err := EncodeMessage(msg)
@@ -187,9 +189,10 @@ func TestWireRoundTripAllMessages(t *testing.T) {
 	}
 }
 
-// TestWireRoundTripSparseMessages covers the all-optionals-nil shapes.
-func TestWireRoundTripSparseMessages(t *testing.T) {
-	for _, msg := range []any{
+// sparseMessages returns the all-optionals-nil shapes of the messages
+// that have optional fields.
+func sparseMessages() []any {
+	return []any{
 		&ReadReply{ReqID: 1, Key: "k", ShardID: 0, ReplicaID: 1},
 		&ST1Request{ReqID: 2, ClientID: 3},
 		&ST1Reply{ReqID: 4, Vote: VoteAbort},
@@ -199,7 +202,15 @@ func TestWireRoundTripSparseMessages(t *testing.T) {
 		&DecFB{View: 1},
 		&AbortRead{ClientID: 10},
 		&Overloaded{ReqID: 11},
-	} {
+		&CertRequest{ReqID: 12},
+		&CertReply{ReqID: 13, ShardID: 1, ReplicaID: 2}, // an empty reply
+		&ReadReply{ReqID: 14, Key: "k", Committed: &CommittedRead{Value: []byte("g")}},
+	}
+}
+
+// TestWireRoundTripSparseMessages covers the all-optionals-nil shapes.
+func TestWireRoundTripSparseMessages(t *testing.T) {
+	for _, msg := range sparseMessages() {
 		enc, err := EncodeMessage(msg)
 		if err != nil {
 			t.Fatalf("%T: encode: %v", msg, err)
@@ -241,10 +252,13 @@ func TestWireRejectsUnknownAndTruncated(t *testing.T) {
 	if _, _, err := DecodeMessage([]byte{0xEE}); err == nil {
 		t.Fatal("decoded unknown tag")
 	}
-	enc, _ := EncodeMessage(wireMessages(3)[1]) // ReadReply, deeply nested
-	for _, cut := range []int{1, 2, len(enc) / 2, len(enc) - 1} {
-		if _, _, err := DecodeMessage(enc[:cut]); err == nil {
-			t.Fatalf("decoded truncated input (cut %d)", cut)
+	msgs := wireMessages(3)
+	for _, msg := range []any{msgs[1], msgs[13]} { // ReadReply; CertReply, deeply nested
+		enc, _ := EncodeMessage(msg)
+		for _, cut := range []int{1, 2, len(enc) / 2, len(enc) - 1} {
+			if _, _, err := DecodeMessage(enc[:cut]); err == nil {
+				t.Fatalf("%T: decoded truncated input (cut %d)", msg, cut)
+			}
 		}
 	}
 }
@@ -596,14 +610,22 @@ func TestWireST1ReplyBytesPinned(t *testing.T) {
 // TestWireReadBytesPinned pins the read messages' encodings: a
 // ReadRequest ends with the client's 32-byte exchange key, and a
 // ReadReply carries each branch's writer id after its value and a
-// 32-byte MAC where a signature used to be.
+// 32-byte MAC where a signature used to be. The committed branch ends
+// with its version and carries no writer metadata or certificate (a
+// client fetches those with a CertRequest); the prepared branch keeps
+// its writer metadata. The certificate fetch messages are pinned too: the
+// request ends with the client's exchange key and the reply with its MAC,
+// as the read pair does.
 func TestWireReadBytesPinned(t *testing.T) {
 	zeros := func(n int) string { return strings.Repeat("00", n) }
 	req := &ReadRequest{ReqID: 1, ClientID: 2, Key: "k", Ts: Timestamp{Time: 3, ClientID: 4}, ClientKey: [32]byte{0xC1, 0xC2}}
 	rep := &ReadReply{ReqID: 5, Key: "k", ShardID: 1, ReplicaID: 2,
-		Committed: &CommittedRead{Value: []byte{0x76}, WriterID: TxID{0xD1}},
+		Committed: &CommittedRead{Value: []byte{0x76}, WriterID: TxID{0xD1}, Timestamp: Timestamp{Time: 8, ClientID: 9}},
 		Prepared:  &PreparedRead{Value: []byte{0x77}, WriterID: TxID{0xD2}, WriterMeta: &TxMeta{Timestamp: Timestamp{Time: 6, ClientID: 7}}},
 		MAC:       [32]byte{0xE1, 0xE2}}
+	creq := &CertRequest{ReqID: 10, ClientID: 11, TxID: TxID{0xD1}, ClientKey: [32]byte{0xC3}}
+	crep := &CertReply{ReqID: 10, ShardID: 1, ReplicaID: 2, Meta: &TxMeta{Timestamp: Timestamp{Time: 8, ClientID: 9}},
+		Cert: &DecisionCert{TxID: TxID{0xD1}, Decision: DecisionCommit}, MAC: [32]byte{0xE3}}
 	cases := []struct {
 		msg  any
 		want string
@@ -611,10 +633,17 @@ func TestWireReadBytesPinned(t *testing.T) {
 		{req, "01" + "0000000000000001" + "0000000000000002" + "000000016b" +
 			"0000000000000003" + "0000000000000004" + "c1c2" + zeros(30)},
 		{rep, "02" + "0000000000000005" + "000000016b" + "00000001" + "00000002" +
-			"01" + "0000000176" + "d1" + zeros(31) + "00" + "00" + // committed: value, writer id, no meta, no cert
+			"01" + "0000000176" + "d1" + zeros(31) + // committed: value, writer id
+			"0000000000000008" + "0000000000000009" + // committed: version
 			"01" + "0000000177" + "d2" + zeros(31) + // prepared: value, writer id
 			"01" + "0000000000000006" + "0000000000000007" + zeros(16) + // writer meta
 			"e1e2" + zeros(30)},
+		{creq, "0d" + "000000000000000a" + "000000000000000b" + "d1" + zeros(31) + "c3" + zeros(31)},
+		{crep, "0e" + "000000000000000a" + "00000001" + "00000002" +
+			"01" + "0000000000000008" + "0000000000000009" + zeros(16) + // meta
+			"01" + "d1" + zeros(31) + "01" + "00000000" + // cert: tx id, decision, no shards
+			"e3" + zeros(31)}, // MAC
+		{&CertReply{ReqID: 10, ShardID: 1, ReplicaID: 2}, "0e" + "000000000000000a" + "00000001" + "00000002" + "00" + "00" + zeros(32)},
 	}
 	for _, c := range cases {
 		enc, err := EncodeMessage(c.msg)
@@ -684,35 +713,49 @@ func TestWireDecodedCertSlicesExact(t *testing.T) {
 // fail with ErrTruncated after allocating no more than a small multiple
 // of the frame: a slice presized to an unchecked count would allocate
 // the count times the reply size.
+// Both frames that carry a certificate at top level are covered: the
+// writeback and the certificate-fetch reply.
 func TestWireHostileCountBoundedAlloc(t *testing.T) {
-	enc, err := EncodeMessage(fastCommitWriteback(newWireRand(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// tag, client id, tx id, decision; cert presence, tx id, decision,
-	// shard count; shard id, kind, vote — then the ST1-reply count.
-	const countAt = 1 + 8 + 32 + 1 + 1 + 32 + 1 + 4 + 4 + 1 + 1
-	if got := binary.BigEndian.Uint32(enc[countAt:]); got != 6 {
-		t.Fatalf("count field at %d reads %d, want 6: frame layout changed", countAt, got)
-	}
-	rest := len(enc) - (countAt + 4)
-	for _, count := range []uint32{1<<31 - 1, uint32(rest)} {
-		frame := bytes.Clone(enc)
-		binary.BigEndian.PutUint32(frame[countAt:], count)
-		if _, _, err := DecodeMessage(frame); err != ErrTruncated {
-			t.Fatalf("count %d: err %v, want ErrTruncated", count, err)
+	wb := fastCommitWriteback(newWireRand(6))
+	// Each frame's prefix up to its certificate's presence byte: tag,
+	// client id, tx id, decision (writeback); tag, request id, shard and
+	// replica, absent meta (certificate reply).
+	for _, c := range []struct {
+		msg    any
+		certAt int
+	}{
+		{wb, 1 + 8 + 32 + 1},
+		{&CertReply{ReqID: 1, ShardID: 0, ReplicaID: 2, Cert: wb.Cert}, 1 + 8 + 4 + 4 + 1},
+	} {
+		enc, err := EncodeMessage(c.msg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		const runs = 100
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			DecodeMessage(frame)
+		// cert presence, tx id, decision, shard count; shard id, kind,
+		// vote — then the ST1-reply count.
+		countAt := c.certAt + 1 + 32 + 1 + 4 + 4 + 1 + 1
+		if got := binary.BigEndian.Uint32(enc[countAt:]); got != 6 {
+			t.Fatalf("%T: count field at %d reads %d, want 6: frame layout changed", c.msg, countAt, got)
 		}
-		runtime.ReadMemStats(&after)
-		perDecode := (after.TotalAlloc - before.TotalAlloc) / runs
-		if limit := uint64(2 * len(frame)); perDecode > limit {
-			t.Fatalf("count %d: decode allocated %d B for a %d B frame (limit %d)",
-				count, perDecode, len(frame), limit)
+		rest := len(enc) - (countAt + 4)
+		for _, count := range []uint32{1<<31 - 1, uint32(rest)} {
+			frame := bytes.Clone(enc)
+			binary.BigEndian.PutUint32(frame[countAt:], count)
+			if _, _, err := DecodeMessage(frame); err != ErrTruncated {
+				t.Fatalf("%T: count %d: err %v, want ErrTruncated", c.msg, count, err)
+			}
+			const runs = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				DecodeMessage(frame)
+			}
+			runtime.ReadMemStats(&after)
+			perDecode := (after.TotalAlloc - before.TotalAlloc) / runs
+			if limit := uint64(2 * len(frame)); perDecode > limit {
+				t.Fatalf("%T: count %d: decode allocated %d B for a %d B frame (limit %d)",
+					c.msg, count, perDecode, len(frame), limit)
+			}
 		}
 	}
 }
