@@ -64,13 +64,17 @@ test:
 # checks that share one verifier, pool and pooled scratch across
 # goroutines (internal/cryptoutil, internal/quorum). The WAL's group-commit leader
 # hand-off (appenders piling up behind a held sync, Close and Checkpoint
-# racing a leader) runs twenty times. Runs as part of `make check`.
+# racing a leader) runs twenty times. The store's reference-oracle
+# histories (the timestamp-located check against whole-history scans) and
+# its concurrent stress storm (with a stats scraper walking the stripes
+# under the shared lock) run five times. Runs as part of `make check`.
 test-race:
 	$(GO) test -race ./internal/transport/ ./internal/client/ ./internal/replica/ ./internal/store/ ./internal/wal/ ./internal/metrics/ ./internal/quorum/ ./internal/benchharness/ ./internal/types/ ./internal/cryptoutil/ ./internal/trace/ ./internal/faults/ ./internal/scenario/ ./internal/edwards25519/...
 	$(GO) test -race -count=10 ./internal/replica/ -run RacingWritebackCollected
 	$(GO) test -race -count=10 ./internal/replica/ ./internal/client/ -run '^TestRead'
 	$(GO) test -race -count=10 ./internal/cryptoutil/ ./internal/quorum/ -run 'ConcurrentCertChecks'
 	$(GO) test -race -count=20 ./internal/wal/ -run 'GroupCommit|LeaderSync|ConcurrentAppends'
+	$(GO) test -race -count=5 ./internal/store/ -run 'Reference|ConcurrentStress'
 	$(GO) test -race ./basil/ -run 'TestCrashRestart|TestRestartReplica|TestOverloadSheds'
 
 # On amd64 the field multiply is assembly; the generic Go field code that

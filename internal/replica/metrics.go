@@ -157,9 +157,10 @@ func (r *Replica) Health() metrics.Health {
 	}
 }
 
-// cachedStoreStats throttles StatsSnapshot (a full store walk under the
-// global lock) so the bound occupancy gauges scraped together cost one
-// walk per second, not one per gauge per scrape.
+// cachedStoreStats throttles StatsSnapshot (a walk of every key, one
+// stripe at a time, and of the transaction table) so the bound occupancy
+// gauges scraped together cost one walk per second, not one per gauge per
+// scrape.
 type cachedStoreStats struct {
 	src *store.Store
 

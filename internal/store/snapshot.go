@@ -155,7 +155,7 @@ func (s *Store) Restore(data []byte) (rest []byte, maxTs types.Timestamp, err er
 			if committed != w.committed() {
 				return nil, maxTs, fmt.Errorf("store: snapshot version %v of key %q disagrees with its writer's status", ver, k)
 			}
-			e.writes = append(e.writes, w)
+			e.insertWrite(w)
 			bump(ver)
 		}
 		nR := int(d.u32())
@@ -176,7 +176,9 @@ func (s *Store) Restore(data []byte) (rest []byte, maxTs types.Timestamp, err er
 			if r.readVer(k) != readVer {
 				return nil, maxTs, fmt.Errorf("store: snapshot reader of key %q read %v, its record says %v", k, readVer, r.readVer(k))
 			}
-			e.readers = append(e.readers, r)
+			// Older snapshots list readers in insertion order, which is
+			// not quite timestamp order; inserting re-sorts them.
+			e.insertReader(r)
 			bump(readerTs)
 		}
 	}
@@ -216,13 +218,7 @@ func (s *Store) RestorePrepared(meta *types.TxMeta, id types.TxID) bool {
 	}
 	rec := &TxRecord{Meta: meta, Status: StatusPrepared}
 	s.txns[id] = rec
-	for _, w := range meta.WriteSet {
-		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{writer: rec})
-	}
-	for _, r := range meta.ReadSet {
-		e := s.stripeOf(r.Key).entry(r.Key)
-		e.readers = append(e.readers, readRec{reader: rec})
-	}
+	s.install(rec)
 	return true
 }
 

@@ -8,11 +8,12 @@
 // in parallel. Three lock levels exist, always acquired in this order:
 //
 //  1. global (RWMutex) — held shared by every per-key operation (Read,
-//     DropRTS, CheckAndPrepare, ApplyGenesis, LatestCommitted, Tx lookups)
-//     and exclusively by the cross-key operations that mutate transaction
-//     records or walk every key (Finalize, RemovePrepared, GC,
-//     StatsSnapshot). Holding it exclusively implies exclusive access to
-//     all stripes and the transaction table.
+//     DropRTS, CheckAndPrepare, ApplyGenesis, LatestCommitted, Tx lookups,
+//     and StatsSnapshot one stripe at a time) and exclusively by the
+//     cross-key operations that mutate transaction records or need a
+//     consistent cut of every key (Finalize, RemovePrepared, GC,
+//     Snapshot). Holding it exclusively implies exclusive access to all
+//     stripes and the transaction table.
 //  2. stripe mutexes — per-key state (version chains, readers, RTS).
 //     Multi-key operations (CheckAndPrepare) lock all involved stripes in
 //     ascending index order, making the check-and-install atomic without a
@@ -28,6 +29,7 @@ package store
 
 import (
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 
@@ -132,13 +134,33 @@ type rtsEntry struct {
 	refs int
 }
 
+// keyEntry is one key's state. Both history lists are kept sorted by
+// timestamp, so every per-key operation locates its entries by binary
+// search and touches only the entries near the timestamp it is about,
+// however long the key's history (n entries) has grown:
+//
+//   - Read and the line 5–8 check: O(log n) to find the newest version
+//     below the read timestamp, or the first version above a read version.
+//   - The line 9–13 check: O(r) for the r readers newer than the writer.
+//     A current writer has r ≈ 0; a writer whose timestamp lies far in the
+//     past (up to δ, which admission allows) scans every reader above it,
+//     never more than the whole list.
+//   - Prepare, RestorePrepared and a writeback that missed ST1 insert from
+//     the newest end, O(entries newer than the transaction).
+//   - Finalize, RemovePrepared and abort removal find the transaction's
+//     entries at its timestamp, O(log n) plus the shift of the entries
+//     newer than it.
+//   - GC drops readers below its watermark as a prefix; it still walks
+//     every version, since it looks at each one's commit state.
 type keyEntry struct {
-	// writes sorted ascending by version timestamp.
+	// writes sorted ascending by version timestamp (ties, which only a
+	// client reusing a timestamp makes, in insertion order).
 	writes []writeRec
 	// genesis is the value of the genesis version (the one write with no
 	// writer), nil when there is none.
 	genesis []byte
-	// readers of this key from prepared/committed transactions.
+	// readers of this key from prepared/committed transactions, sorted
+	// ascending by reader timestamp (ties in insertion order).
 	readers []readRec
 	// rts holds the read timestamps of ongoing (not yet prepared)
 	// transactions, reference-counted because retries may re-read. It is
@@ -336,38 +358,63 @@ func (s *Store) ApplyGenesis(k string, value []byte) {
 	e.writes = append([]writeRec{{}}, e.writes...)
 }
 
-// insertWrite places w into e.writes keeping version order.
+// writesFrom returns the index of e's first version at or above v.
+func (e *keyEntry) writesFrom(v types.Timestamp) int {
+	return sort.Search(len(e.writes), func(i int) bool { return !e.writes[i].ver().Less(v) })
+}
+
+// readersFrom returns the index of e's first reader whose timestamp is at
+// or above ts.
+func (e *keyEntry) readersFrom(ts types.Timestamp) int {
+	return sort.Search(len(e.readers), func(i int) bool { return !e.readers[i].readerTs().Less(ts) })
+}
+
+// insertWrite places w into e.writes keeping version order. It searches
+// from the newest end, where a new version almost always belongs.
 func (e *keyEntry) insertWrite(w writeRec) {
 	i := len(e.writes)
 	ver := w.ver()
 	for i > 0 && ver.Less(e.writes[i-1].ver()) {
 		i--
 	}
-	e.writes = append(e.writes, writeRec{})
-	copy(e.writes[i+1:], e.writes[i:])
-	e.writes[i] = w
+	e.writes = slices.Insert(e.writes, i, w)
 }
 
-// removeWritesBy drops all writes by tx from e.
+// insertReader places r into e.readers keeping timestamp order, searching
+// from the newest end like insertWrite.
+func (e *keyEntry) insertReader(r readRec) {
+	i := len(e.readers)
+	ts := r.readerTs()
+	for i > 0 && ts.Less(e.readers[i-1].readerTs()) {
+		i--
+	}
+	e.readers = slices.Insert(e.readers, i, r)
+}
+
+// removeWritesBy drops all writes by tx (a write set may name a key twice)
+// from e, looking only at the versions at tx's timestamp.
 func (e *keyEntry) removeWritesBy(tx *TxRecord) {
-	out := e.writes[:0]
-	for _, w := range e.writes {
-		if w.writer != tx {
-			out = append(out, w)
+	ts := tx.Meta.Timestamp
+	for i := e.writesFrom(ts); i < len(e.writes) && e.writes[i].ver() == ts; {
+		if e.writes[i].writer == tx {
+			e.writes = slices.Delete(e.writes, i, i+1)
+		} else {
+			i++
 		}
 	}
-	e.writes = out
 }
 
-// removeReadersBy drops all reader records by tx from e.
+// removeReadersBy drops all reader records by tx from e, looking only at
+// the readers at tx's timestamp.
 func (e *keyEntry) removeReadersBy(tx *TxRecord) {
-	out := e.readers[:0]
-	for _, r := range e.readers {
-		if r.reader != tx {
-			out = append(out, r)
+	ts := tx.Meta.Timestamp
+	for i := e.readersFrom(ts); i < len(e.readers) && e.readers[i].readerTs() == ts; {
+		if e.readers[i].reader == tx {
+			e.readers = slices.Delete(e.readers, i, i+1)
+		} else {
+			i++
 		}
 	}
-	e.readers = out
 }
 
 // ReadResult carries the replica's two read branches (paper §4.1 step 2).
@@ -387,11 +434,8 @@ func (s *Store) Read(k string, ts types.Timestamp) ReadResult {
 	e := st.entry(k)
 	e.addRTS(ts)
 	var res ReadResult
-	for i := len(e.writes) - 1; i >= 0; i-- {
+	for i := e.writesFrom(ts) - 1; i >= 0; i-- {
 		w := &e.writes[i]
-		if !w.ver().Less(ts) {
-			continue
-		}
 		if w.committed() {
 			if res.Committed == nil {
 				res.Committed = &types.CommittedRead{Value: e.valueOf(k, w),
@@ -534,21 +578,22 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 		// Note: the read version need not exist locally — the client may
 		// have read from other replicas (prepared-version deps are
 		// separately validated by the replica layer). Line 7 only demands
-		// that no newer-but-older-than-ts write exists here.
-		for i := range e.writes {
+		// that no newer-but-older-than-ts write exists here. Versions are
+		// sorted, so the smallest version above the read one is the only
+		// candidate: the read missed a write iff it lies below ts.
+		i := sort.Search(len(e.writes), func(i int) bool { return r.Version.Less(e.writes[i].ver()) })
+		if i < len(e.writes) && e.writes[i].ver().Less(ts) {
 			w := &e.writes[i]
-			if wv := w.ver(); r.Version.Less(wv) && wv.Less(ts) {
-				res := CheckResult{Outcome: CheckAbort}
-				if rec := w.writer; rec != nil {
-					if w.committed() && rec.Cert != nil {
-						res.Conflict = rec.Cert
-						res.ConflictMeta = rec.Meta
-					} else if rec.Status == StatusPrepared {
-						res.PreparedConflict = rec.Meta
-					}
+			res := CheckResult{Outcome: CheckAbort}
+			if rec := w.writer; rec != nil {
+				if w.committed() && rec.Cert != nil {
+					res.Conflict = rec.Cert
+					res.ConflictMeta = rec.Meta
+				} else if rec.Status == StatusPrepared {
+					res.PreparedConflict = rec.Meta
 				}
-				return res
 			}
+			return res
 		}
 	}
 	// Lines 9–13: writes must not invalidate validated readers or
@@ -565,11 +610,16 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 		if e == nil {
 			continue
 		}
-		for i := range e.readers {
+		// Only a reader newer than ts can have its read invalidated, and
+		// readers are sorted by timestamp, so scan back from the newest
+		// while they are newer. Of several conflicting readers this names
+		// the newest, not the first inserted; line 11 accepts any such T′.
+		for i := len(e.readers) - 1; i >= 0; i-- {
 			rd := &e.readers[i]
-			// Timestamp first: most readers are older than the writer,
-			// and the read version costs a read-set scan.
-			if ts.Less(rd.readerTs()) && rd.readVer(w.Key).Less(ts) {
+			if !ts.Less(rd.readerTs()) {
+				break
+			}
+			if rd.readVer(w.Key).Less(ts) {
 				res := CheckResult{Outcome: CheckAbort}
 				if rec := rd.reader; rec != nil {
 					if rec.Status == StatusCommitted && rec.Cert != nil {
@@ -600,19 +650,15 @@ func (s *Store) CheckAndPrepare(meta *types.TxMeta, id types.TxID) CheckResult {
 	}
 	s.txns[id] = rec
 	s.txMu.Unlock()
-	for _, w := range meta.WriteSet {
-		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{writer: rec})
-	}
+	s.install(rec)
 	for _, r := range meta.ReadSet {
-		e := s.stripeOf(r.Key).entry(r.Key)
-		e.readers = append(e.readers, readRec{reader: rec})
 		// The transaction has been validated; its execution-time RTS
 		// reservation is superseded by the reader record. dropRTS also
 		// recomputes maxRTS when the last reference at ts is released, so
 		// the coarse line-12 filter tracks live reads instead of the
 		// highest-ever read timestamp (which would spuriously abort every
 		// lower-timestamped writer on a hot key forever).
-		e.dropRTS(ts)
+		s.stripeOf(r.Key).keys[r.Key].dropRTS(ts)
 	}
 	s.m.PrepareOKs.Add(1)
 	return CheckResult{Outcome: CheckOK}
@@ -648,51 +694,48 @@ func (s *Store) Finalize(id types.TxID, meta *types.TxMeta, dec types.Decision, 
 		rec.Cert = cert
 	}
 	if dec == types.DecisionCommit {
+		// A prepared transaction's versions commit with rec.Status. Only a
+		// replica that missed ST1 installs them, and the reader records
+		// too, so future conflicting writes are caught (line 10).
+		wasPrepared := rec.Status == StatusPrepared
 		rec.Status = StatusCommitted
-		wasPrepared := false
-		if rec.Meta != nil {
-			for _, w := range rec.Meta.WriteSet {
-				// A prepared version commits with rec.Status; only a
-				// replica that missed ST1 has to install it.
-				e := s.stripeOf(w.Key).entry(w.Key)
-				found := false
-				for i := range e.writes {
-					if e.writes[i].writer == rec {
-						found = true
-						break
-					}
-				}
-				if !found {
-					e.insertWrite(writeRec{writer: rec})
-				} else {
-					wasPrepared = true
-				}
-			}
-			if !wasPrepared {
-				// Install reader records too so future conflicting writes
-				// are caught (line 10) even on replicas that skipped ST1.
-				for _, r := range rec.Meta.ReadSet {
-					e := s.stripeOf(r.Key).entry(r.Key)
-					e.readers = append(e.readers, readRec{reader: rec})
-				}
-			}
+		if rec.Meta != nil && !wasPrepared {
+			s.install(rec)
 		}
 	} else {
 		rec.Status = StatusAborted
-		if rec.Meta != nil {
-			for _, w := range rec.Meta.WriteSet {
-				if e := s.stripeOf(w.Key).keys[w.Key]; e != nil {
-					e.removeWritesBy(rec)
-				}
-			}
-			for _, r := range rec.Meta.ReadSet {
-				if e := s.stripeOf(r.Key).keys[r.Key]; e != nil {
-					e.removeReadersBy(rec)
-				}
-			}
-		}
+		s.withdraw(rec)
 	}
 	return true
+}
+
+// install adds rec's versions and reader records to its keys. The caller
+// holds the stripes of rec's keys or the global lock exclusively.
+func (s *Store) install(rec *TxRecord) {
+	for _, w := range rec.Meta.WriteSet {
+		s.stripeOf(w.Key).entry(w.Key).insertWrite(writeRec{writer: rec})
+	}
+	for _, r := range rec.Meta.ReadSet {
+		s.stripeOf(r.Key).entry(r.Key).insertReader(readRec{reader: rec})
+	}
+}
+
+// withdraw removes rec's versions and reader records from its keys. The
+// caller holds the global lock exclusively.
+func (s *Store) withdraw(rec *TxRecord) {
+	if rec.Meta == nil {
+		return
+	}
+	for _, w := range rec.Meta.WriteSet {
+		if e := s.stripeOf(w.Key).keys[w.Key]; e != nil {
+			e.removeWritesBy(rec)
+		}
+	}
+	for _, r := range rec.Meta.ReadSet {
+		if e := s.stripeOf(r.Key).keys[r.Key]; e != nil {
+			e.removeReadersBy(rec)
+		}
+	}
 }
 
 // RemovePrepared withdraws a prepared transaction entirely (Algorithm 1
@@ -705,18 +748,7 @@ func (s *Store) RemovePrepared(id types.TxID) {
 	if rec == nil || rec.Status != StatusPrepared {
 		return
 	}
-	if rec.Meta != nil {
-		for _, w := range rec.Meta.WriteSet {
-			if e := s.stripeOf(w.Key).keys[w.Key]; e != nil {
-				e.removeWritesBy(rec)
-			}
-		}
-		for _, r := range rec.Meta.ReadSet {
-			if e := s.stripeOf(r.Key).keys[r.Key]; e != nil {
-				e.removeReadersBy(rec)
-			}
-		}
-	}
+	s.withdraw(rec)
 	delete(s.txns, id)
 }
 
@@ -863,15 +895,12 @@ func (s *Store) GC(watermark types.Timestamp) int {
 					liveWriters[w] = struct{}{}
 				}
 			}
-			rd := e.readers[:0]
-			for _, r := range e.readers {
-				if r.readerTs().Less(watermark) {
-					dropped++
-					continue
-				}
-				rd = append(rd, r)
+			// Readers are sorted, so those below the watermark are a
+			// prefix.
+			if n := e.readersFrom(watermark); n > 0 {
+				e.readers = slices.Delete(e.readers, 0, n)
+				dropped += n
 			}
-			e.readers = rd
 			live := e.rts[:0]
 			for _, r := range e.rts {
 				if r.ts.Less(watermark) {
@@ -927,19 +956,33 @@ type Stats struct {
 	Aborted   int
 }
 
-// StatsSnapshot returns current sizes.
+// StatsSnapshot returns current sizes. The sizes are gauges, not a
+// consistent cut: each stripe is counted under its own lock, with the
+// global lock shared and released between stripes so a waiting Finalize
+// or GC is not held behind the whole walk, and the transaction table is
+// counted with txMu read-locked. Prepares, reads and writebacks on other
+// stripes go on meanwhile, so the totals may mix moments microseconds
+// apart (a transaction prepared mid-walk may show in Txns but not yet in
+// Versions).
 func (s *Store) StatsSnapshot() Stats {
-	s.global.Lock()
-	defer s.global.Unlock()
 	var st Stats
 	for si := range s.stripes {
-		st.Keys += len(s.stripes[si].keys)
-		for _, e := range s.stripes[si].keys {
+		s.global.RLock()
+		sp := &s.stripes[si]
+		sp.mu.Lock()
+		st.Keys += len(sp.keys)
+		for _, e := range sp.keys {
 			st.Versions += len(e.writes)
 			st.Readers += len(e.readers)
 			st.RTS += len(e.rts)
 		}
+		sp.mu.Unlock()
+		s.global.RUnlock()
 	}
+	s.global.RLock()
+	defer s.global.RUnlock()
+	s.txMu.RLock()
+	defer s.txMu.RUnlock()
 	st.Txns = len(s.txns)
 	for _, r := range s.txns {
 		switch r.Status {

@@ -59,10 +59,16 @@ func (s *Store) checkInvariants() error {
 			if e.maxRTS != want {
 				return fmt.Errorf("key %q: maxRTS %v, live RTS max %v", k, e.maxRTS, want)
 			}
-			// Version chains sorted strictly ascending.
+			// Version chains sorted strictly ascending, readers by
+			// timestamp.
 			for i := 1; i < len(e.writes); i++ {
 				if !e.writes[i-1].ver().Less(e.writes[i].ver()) {
 					return fmt.Errorf("key %q: version chain out of order at %d", k, i)
+				}
+			}
+			for i := 1; i < len(e.readers); i++ {
+				if e.readers[i].readerTs().Less(e.readers[i-1].readerTs()) {
+					return fmt.Errorf("key %q: readers out of order at %d", k, i)
 				}
 			}
 			// Keys live on the stripe their hash selects.
@@ -135,10 +141,12 @@ func (m *stressModel) commit(meta *types.TxMeta) {
 // TestStoreConcurrentStress hammers one store from many goroutines with
 // interleaved Read/CheckAndPrepare/Finalize/RemovePrepared/DropRTS/GC on
 // overlapping keys — plus a dedicated GC goroutine advancing a watermark
-// through the storm — then asserts the invariants the replica layer
-// relies on: no committed write lost, no version at or above the final
-// watermark lost, maxRTS matching the live RTS entries exactly, and the
-// prepared set consistent with the per-key version chains. Run it under
+// through the storm and a scraper calling StatsSnapshot, which walks the
+// stripes under the shared lock while they change — then asserts the
+// invariants the replica layer relies on: no committed write lost, no
+// version at or above the final watermark lost, maxRTS matching the live
+// RTS entries exactly, readers sorted by timestamp, and the prepared set
+// consistent with the per-key version chains. Run it under
 // -race (it is part of `make test-race`): the interleavings, not the
 // assertions, are the point.
 func TestStoreConcurrentStress(t *testing.T) {
@@ -189,7 +197,24 @@ func TestStoreConcurrentStress(t *testing.T) {
 			}
 			gcDone := make(chan struct{})
 			var gcWG sync.WaitGroup
-			gcWG.Add(1)
+			gcWG.Add(2)
+			var scrapeErr atomic.Value
+			go func() {
+				defer gcWG.Done()
+				for {
+					select {
+					case <-gcDone:
+						return
+					default:
+					}
+					// Gauges need no cross-stripe cut, but each count
+					// must be one a live store could hold.
+					st := s.StatsSnapshot()
+					if st.Keys > nKeys || st.Prepared+st.Committed+st.Aborted != st.Txns || st.Versions < st.Keys {
+						scrapeErr.Store(fmt.Sprintf("impossible stats %+v", st))
+					}
+				}
+			}()
 			go func() {
 				defer gcWG.Done()
 				for {
@@ -267,6 +292,9 @@ func TestStoreConcurrentStress(t *testing.T) {
 			close(gcDone)
 			gcWG.Wait()
 			finalWater := types.Timestamp{Time: highWater.Load()}
+			if msg := scrapeErr.Load(); msg != nil {
+				t.Fatal(msg)
+			}
 
 			if err := s.checkInvariants(); err != nil {
 				t.Fatalf("invariant violated after storm: %v", err)
