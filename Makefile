@@ -93,10 +93,7 @@ test-perfbench:
 race:
 	$(GO) test -race ./internal/transport/ ./internal/types/ ./internal/cryptoutil/ ./basil/ -run 'TestTCP|TestWire|TestBatch'
 
-# Perf trajectory: the parallel-pipeline prepare benchmarks (recorded to
-# BENCH_parallel.json at GOMAXPROCS=4 with exactly-twice message delivery;
-# see internal/store/parallel_bench_test.go for what each side models),
-# the WAL group-commit sweep (recorded to BENCH_wal.json — the fsync
+# Perf trajectory: the WAL group-commit sweep (recorded to BENCH_wal.json — the fsync
 # amortization curve across 1, 8 and 32 appenders), the
 # checkpoint lifecycle ladder (recorded to BENCH_checkpoint.json —
 # steady-state checkpoint cost must stay flat as history grows), the
@@ -104,8 +101,10 @@ race:
 # throughput under a line-rate spammer, unlimited vs bounded intake; see
 # internal/benchharness/admission.go), the tracing experiment (recorded
 # to BENCH_trace.json — per-stage p50/p99 from a fully sampled cluster
-# plus the unsampled-path overhead, which must stay within 2%; see
-# internal/benchharness/tracefig.go), and the wire-path benchmarks.
+# plus the instrumentation tax, the signed-prepare pipeline bare vs live
+# metrics vs a rate-0 tracer over rotating rounds, each within 2%; see
+# internal/benchharness/tracefig.go), the store's 1-stripe vs 64-stripe
+# prepare benchmark, and the wire-path benchmarks.
 # The production-scenario matrix (internal/scenario): open-loop load,
 # chaos storms (crash+WAL restart, slow disk, partition, equivocating
 # replica, spam) and explicit SLO verdicts, recorded to
@@ -115,7 +114,6 @@ scenarios:
 	$(GO) run ./cmd/basil-bench -experiment scenarios -json $(CURDIR)/BENCH_scenarios.json
 
 bench:
-	$(GO) test ./internal/store/ -run TestWriteParallelBench -parallelbench $(CURDIR)/BENCH_parallel.json -v -count=1
 	$(GO) test ./internal/wal/ -run TestWriteWALBench -walbench $(CURDIR)/BENCH_wal.json -v -count=1
 	$(GO) test ./internal/replica/ -run TestWriteCheckpointBench -checkpointbench $(CURDIR)/BENCH_checkpoint.json -v -count=1
 	$(GO) test ./internal/benchharness/ -run TestWriteAdmissionBench -admissionbench $(CURDIR)/BENCH_admission.json -v -count=1

@@ -60,11 +60,10 @@ func TestAdminEndpointE2E(t *testing.T) {
 	for i := 0; i < n; i++ {
 		cfg := replica.Config{
 			Shard: 0, Index: int32(i), F: f,
-			DeltaMicros: 60_000_000,
-			Registry:    reg,
-			SignerID:    int32(i),
-			SignerOf:    signerOf,
-			Net:         nets[i],
+			Registry: reg,
+			SignerID: int32(i),
+			SignerOf: signerOf,
+			Net:      nets[i],
 		}
 		if i == 0 {
 			cfg.Metrics = mreg

@@ -66,11 +66,8 @@ type Options struct {
 	// message handling run concurrently on it. 0 defaults to GOMAXPROCS;
 	// 1 reproduces the old serial message loop.
 	VerifyWorkers int
-	// StoreStripes is each replica store's per-key lock-stripe count.
-	// 0 defaults to store.DefaultStripes; 1 is the single-lock baseline
-	// the parallel experiment compares against.
-	StoreStripes int
-	// DeltaMicros is the timestamp admission bound δ. Default 60s.
+	// DeltaMicros is the timestamp admission bound δ. 0 uses
+	// replica.DefaultDeltaMicros (60s).
 	DeltaMicros uint64
 	// DataDir, if non-empty, makes every replica durable: stage-1 votes
 	// and logged ST2 decisions reach a per-replica write-ahead log under
@@ -150,12 +147,6 @@ func (o *Options) withDefaults() {
 	if o.Shards <= 0 {
 		o.Shards = 1
 	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 1
-	}
-	if o.DeltaMicros == 0 {
-		o.DeltaMicros = 60_000_000
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -213,7 +204,7 @@ func NewCluster(opts Options) *Cluster {
 		own = true
 		if q := opts.DispatchQueue; q >= 0 {
 			if q == 0 {
-				q = 1024 // mirrors the replica's default admission cap
+				q = replica.DefaultDispatchQueue
 			}
 			// Bound the replica mailboxes too, with headroom above the
 			// admission cap so floods are shed with an Overloaded reply by
@@ -258,11 +249,13 @@ func NewCluster(opts Options) *Cluster {
 func (c *Cluster) replicaConfig(s, i int32, nodeNet transport.Network) replica.Config {
 	cfg := replica.Config{
 		Shard: s, Index: i, F: c.opts.F,
-		DeltaMicros:   c.opts.DeltaMicros,
-		BatchSize:     c.opts.BatchSize,
-		VerifyWorkers: c.opts.VerifyWorkers, Stripes: c.opts.StoreStripes,
-		Clock: c.opts.Clock, Registry: c.registry,
-		SignerID: c.signerOf(s, i), SignerOf: c.signerOf,
+		DeltaMicros:         c.opts.DeltaMicros,
+		BatchSize:           c.opts.BatchSize,
+		VerifyWorkers:       c.opts.VerifyWorkers,
+		Clock:               c.opts.Clock,
+		Registry:            c.registry,
+		SignerID:            c.signerOf(s, i),
+		SignerOf:            c.signerOf,
 		Net:                 nodeNet,
 		DataDir:             c.replicaDataDir(s, i),
 		CheckpointEvery:     c.opts.CheckpointEvery,

@@ -147,7 +147,9 @@ func crashFuzzRun(t *testing.T, seed int64) {
 		keys[i] = fmt.Sprintf("cz%02d", i)
 		cl.Load(keys[i], enc(0))
 	}
-	cl.Net().SetPolicy(faults.DropLinks(seed, dropRate))
+	chaos := faults.NewChaos(seed)
+	chaos.SetDrop(dropRate)
+	cl.Net().SetPolicy(chaos.Policy())
 
 	var (
 		mu        sync.Mutex

@@ -44,11 +44,10 @@ func TestTCPDeployment(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := replica.New(replica.Config{
 			Shard: 0, Index: int32(i), F: f,
-			DeltaMicros: 60_000_000,
-			Registry:    reg,
-			SignerID:    int32(i),
-			SignerOf:    signerOf,
-			Net:         nets[i],
+			Registry: reg,
+			SignerID: int32(i),
+			SignerOf: signerOf,
+			Net:      nets[i],
 		})
 		r.LoadGenesis("x", []byte("tcp-genesis"))
 		reps = append(reps, r)

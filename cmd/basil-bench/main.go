@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -20,155 +21,113 @@ import (
 	"repro/internal/scenario"
 )
 
+// runEnv is what an experiment reads from the command line.
+type runEnv struct {
+	out      io.Writer
+	scale    benchharness.Scale
+	seed     int64
+	jsonPath string
+}
+
+// experiment is one `-experiment` id and the tables it prints.
+type experiment struct {
+	id string
+	// alone marks an experiment that runs only when named, never under
+	// "all".
+	alone bool
+	run   func(e runEnv) error
+}
+
+// render prints an experiment's tables.
+func render(e runEnv, tables ...benchharness.Table) error {
+	for _, t := range tables {
+		t.Render(e.out)
+	}
+	return nil
+}
+
+// experiments is the dispatch table, in the order "all" runs it; its ids
+// are the rows of docs/benchmarking.md's experiment index.
+var experiments = []experiment{
+	{id: "fig4", run: func(e runEnv) error { return render(e, benchharness.Fig4(e.scale)...) }},
+	{id: "fig5a", run: func(e runEnv) error { return render(e, benchharness.Fig5a(e.scale)) }},
+	{id: "fig5b", run: func(e runEnv) error { return render(e, benchharness.Fig5b(e.scale)) }},
+	{id: "fig5c", run: func(e runEnv) error { return render(e, benchharness.Fig5c(e.scale)) }},
+	{id: "fig6a", run: func(e runEnv) error { return render(e, benchharness.Fig6a(e.scale)) }},
+	{id: "fig6b", run: func(e runEnv) error { return render(e, benchharness.Fig6b(e.scale)) }},
+	{id: "fig7a", run: func(e runEnv) error { return render(e, benchharness.Fig7(e.scale, false)) }},
+	{id: "fig7b", run: func(e runEnv) error { return render(e, benchharness.Fig7(e.scale, true)) }},
+	{id: "latency", run: func(e runEnv) error { return render(e, benchharness.FigLatency(e.scale, 500*time.Microsecond)) }},
+	{id: "rates", run: func(e runEnv) error { return render(e, benchharness.CommitRates(e.scale)) }},
+	{id: "durability", run: func(e runEnv) error { return render(e, benchharness.FigDurability(e.scale)) }},
+	{id: "admission", run: func(e runEnv) error { return render(e, benchharness.FigAdmission(e.scale)) }},
+	{id: "trace", run: func(e runEnv) error { return render(e, benchharness.FigTrace(e.scale)...) }},
+	// The scenario matrix is a minute-long chaos suite with its own
+	// verdict output, run deliberately.
+	{id: "scenarios", alone: true, run: runScenarios},
+}
+
+func runScenarios(e runEnv) error {
+	fmt.Fprintf(e.out, "scenario seed %d\n", e.seed)
+	results, rep, err := scenario.RunMatrix(scenario.Matrix(), e.seed, scenario.DefaultTuning())
+	if err != nil {
+		return err
+	}
+	t := scenario.FigScenarios(results)
+	t.Render(e.out)
+	for _, r := range results {
+		for _, c := range r.Verdict.Checks {
+			if !c.Ok {
+				fmt.Fprintf(e.out, "  FAIL %s/%s: %s (reproduce: -experiment scenarios -seed %d)\n",
+					r.Name, c.Name, c.Detail, r.Seed)
+			}
+		}
+	}
+	if e.jsonPath != "" {
+		if err := scenario.WriteJSON(e.jsonPath, rep); err != nil {
+			return fmt.Errorf("write %s: %w", e.jsonPath, err)
+		}
+		fmt.Fprintf(e.out, "wrote %s\n", e.jsonPath)
+	}
+	return nil
+}
+
 func main() {
-	exp := flag.String("experiment", "all",
-		"experiment id: fig4, fig5a, fig5b, fig5c, fig6a, fig6b, fig7a, fig7b, latency, rates, wire, parallel, durability, checkpoint, metrics, admission, trace, scenarios, all")
+	var ids []string
+	for _, x := range experiments {
+		ids = append(ids, x.id)
+	}
+	exp := flag.String("experiment", "all", "experiment id: "+strings.Join(append(ids, "all"), ", "))
 	scaleName := flag.String("scale", "quick", "quick or full")
 	seed := flag.Int64("seed", 1, "scenario seed (scenarios experiment); every run reproduces from it")
 	jsonPath := flag.String("json", "", "write the scenarios experiment's verdicts to this JSON file")
 	flag.Parse()
 
-	var scale benchharness.Scale
+	env := runEnv{out: os.Stdout, seed: *seed, jsonPath: *jsonPath}
 	switch *scaleName {
 	case "quick":
-		scale = benchharness.Quick()
+		env.scale = benchharness.Quick()
 	case "full":
-		scale = benchharness.Full()
+		env.scale = benchharness.Full()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scale %q (want quick or full)\n", *scaleName)
 		os.Exit(2)
 	}
 
-	run := func(id string) bool {
-		want := *exp == "all" || strings.EqualFold(*exp, id)
-		if want {
-			fmt.Printf("running %s ...\n", id)
+	ran := false
+	for _, x := range experiments {
+		named := strings.EqualFold(*exp, x.id)
+		if !named && (x.alone || *exp != "all") {
+			continue
 		}
-		return want
-	}
-
-	out := os.Stdout
-	any := false
-	if run("fig4") {
-		any = true
-		tput, lat := benchharness.Fig4(scale)
-		tput.Render(out)
-		lat.Render(out)
-	}
-	if run("fig5a") {
-		any = true
-		t := benchharness.Fig5a(scale)
-		t.Render(out)
-	}
-	if run("fig5b") {
-		any = true
-		t := benchharness.Fig5b(scale)
-		t.Render(out)
-	}
-	if run("fig5c") {
-		any = true
-		t := benchharness.Fig5c(scale)
-		t.Render(out)
-	}
-	if run("fig6a") {
-		any = true
-		t := benchharness.Fig6a(scale)
-		t.Render(out)
-	}
-	if run("fig6b") {
-		any = true
-		t := benchharness.Fig6b(scale)
-		t.Render(out)
-	}
-	if run("fig7a") {
-		any = true
-		t := benchharness.Fig7(scale, false)
-		t.Render(out)
-	}
-	if run("fig7b") {
-		any = true
-		t := benchharness.Fig7(scale, true)
-		t.Render(out)
-	}
-	if run("latency") {
-		any = true
-		t := benchharness.FigLatency(scale, 500*time.Microsecond)
-		t.Render(out)
-	}
-	if run("rates") {
-		any = true
-		t := benchharness.CommitRates(scale)
-		t.Render(out)
-	}
-	if run("wire") {
-		any = true
-		t := benchharness.FigWire(scale)
-		t.Render(out)
-		bt := benchharness.FigBroadcast(scale)
-		bt.Render(out)
-	}
-	if run("parallel") {
-		any = true
-		t := benchharness.FigParallel(scale)
-		t.Render(out)
-	}
-	if run("durability") {
-		any = true
-		t := benchharness.FigDurability(scale)
-		t.Render(out)
-	}
-	if run("checkpoint") {
-		any = true
-		t := benchharness.FigCheckpoint(scale)
-		t.Render(out)
-	}
-	if run("metrics") {
-		any = true
-		t := benchharness.FigMetrics(scale)
-		t.Render(out)
-	}
-	if run("admission") {
-		any = true
-		t := benchharness.FigAdmission(scale)
-		t.Render(out)
-	}
-	if run("trace") {
-		any = true
-		stages, over := benchharness.FigTrace(scale)
-		stages.Render(out)
-		over.Render(out)
-	}
-	if strings.EqualFold(*exp, "scenarios") {
-		// Not part of "all": the scenario matrix is a minute-long chaos
-		// suite with its own verdict output, run deliberately.
-		any = true
-		fmt.Printf("running scenarios (seed %d) ...\n", *seed)
-		results, rep, err := scenario.RunMatrix(scenario.Matrix(), *seed, scenario.DefaultTuning())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenarios: %v\n", err)
+		ran = true
+		fmt.Printf("running %s ...\n", x.id)
+		if err := x.run(env); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", x.id, err)
 			os.Exit(1)
 		}
-		t := scenario.FigScenarios(results)
-		t.Render(out)
-		for _, r := range results {
-			if !r.Verdict.Pass {
-				for _, c := range r.Verdict.Checks {
-					if !c.Ok {
-						fmt.Fprintf(out, "  FAIL %s/%s: %s (reproduce: -experiment scenarios -seed %d)\n",
-							r.Name, c.Name, c.Detail, r.Seed)
-					}
-				}
-			}
-		}
-		if *jsonPath != "" {
-			if err := scenario.WriteJSON(*jsonPath, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "scenarios: write %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
 	}
-	if !any {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}

@@ -44,13 +44,12 @@ func main() {
 	batch := flag.Int("batch", 16, "reply signature batch size")
 	maxFrame := flag.Int("maxframe", 16<<20, "largest wire frame in bytes, sent or accepted; must be identical on every node of the deployment (a frame one node sends but another rejects kills the connection)")
 	verifyWorkers := flag.Int("verify-workers", 0, "ingest worker pool size: signature verification and message handling run concurrently on this many workers (0 = GOMAXPROCS, 1 = serial message loop)")
-	stripes := flag.Int("stripes", 0, "store lock-stripe count; prepares on disjoint key stripes run in parallel (0 = default, 1 = single global key lock)")
 	dataDir := flag.String("data-dir", "", "durability directory: stage-1 votes and logged decisions hit a write-ahead log here before any reply, and a restarted server rejoins with its promises intact (empty = in-memory only)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "checkpoint cadence with -data-dir: GC below a clock-derived watermark and snapshot, bounding log and memory growth (0 = never)")
 	adminAddr := flag.String("admin-addr", "", "admin HTTP listen address serving /metrics (Prometheus), /stats (JSON) and /healthz (empty = no admin endpoint)")
 	maxConns := flag.Int("max-conns", 0, "maximum concurrent inbound TCP connections; further accepts are closed immediately (0 = unlimited)")
 	inflight := flag.Int("inflight", 0, "global cap on frames queued across all outbound connections; beyond it sends drop and count in basil_net_frames_dropped_overflow_total (0 = unlimited)")
-	dispatchQueue := flag.Int("dispatch-queue", 0, "replica admission cap: messages admitted but not yet processed; arrivals beyond it get an explicit Overloaded{RetryAfter} reply (0 = default 1024, negative = admission disabled)")
+	dispatchQueue := flag.Int("dispatch-queue", 0, fmt.Sprintf("replica admission cap: messages admitted but not yet processed; arrivals beyond it get an explicit Overloaded{RetryAfter} reply (0 = default %d, negative = admission disabled)", replica.DefaultDispatchQueue))
 	traceSample := flag.Float64("trace-sample", -1, "transaction tracing sample probability in [0,1]; transactions that hit a shed, recovery or fallback are always captured regardless of the rate; span trees served at /traces and /traces/slow on -admin-addr (negative = tracing off)")
 	flag.Parse()
 
@@ -87,10 +86,8 @@ func main() {
 
 	r, err := replica.Restore(replica.Config{
 		Shard: shard, Index: index, F: *f,
-		DeltaMicros:     60_000_000,
 		BatchSize:       *batch,
 		VerifyWorkers:   *verifyWorkers,
-		Stripes:         *stripes,
 		CheckpointEvery: *ckptEvery,
 		Registry:        reg,
 		SignerID:        signerOf(shard, index),

@@ -4,18 +4,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/transport"
-	"repro/internal/types"
 
 	"repro/basil"
 	"repro/internal/client"
 	"repro/internal/tapir"
+	"repro/internal/transport"
 	"repro/internal/txbase"
 	"repro/internal/workload"
 )
@@ -154,7 +150,7 @@ func (s Scale) workloadsFor44() []workload.Generator {
 // Fig4 reproduces Figures 4a (peak throughput) and 4b (mean latency at
 // peak) across TAPIR, Basil, TxHotstuff and TxBFT-SMaRt on TPC-C,
 // Smallbank and Retwis.
-func Fig4(s Scale) (Table, Table) {
+func Fig4(s Scale) []Table {
 	tput := Table{Title: "Fig 4a: application throughput (tx/s)",
 		Header: []string{"workload", "TAPIR", "Basil", "TxHotstuff", "TxBFT-SMaRt"}}
 	lat := Table{Title: "Fig 4b: mean latency (ms)",
@@ -183,7 +179,7 @@ func Fig4(s Scale) (Table, Table) {
 		tput.Rows = append(tput.Rows, trow)
 		lat.Rows = append(lat.Rows, lrow)
 	}
-	return tput, lat
+	return []Table{tput, lat}
 }
 
 // ycsbRWU and ycsbRWZ are the §6.2 microbenchmarks (2 reads + 2 writes).
@@ -387,155 +383,6 @@ func latencyRow(name string, r Result) []string {
 		f2(r.P99LatMs), f2(r.P999LatMs), f1(r.Throughput)}
 }
 
-// FigWire is a reproduction-aid experiment not in the paper: the same
-// YCSB workload over the in-process Local transport and over real
-// loopback TCP sockets carrying the framed canonical wire codec. The gap
-// between the rows is the whole cost of serialization, framing, and the
-// kernel socket path.
-func FigWire(s Scale) Table {
-	t := Table{Title: "Wire path: in-process Local vs framed TCP loopback",
-		Header: []string{"transport", "tput (tx/s)", "mean lat (ms)", "p99 lat (ms)"}}
-	gen := workload.NewYCSB(workload.YCSBConfig{Keys: s.YCSBKeys, ReadOps: 2, WriteOps: 2})
-	cfg := s.runCfg()
-	opts := basil.Options{F: 1, Shards: 1, BatchSize: BatchSize}
-
-	local := NewBasil(gen, opts)
-	r := Run(local, gen, cfg)
-	local.Close()
-	t.Rows = append(t.Rows, []string{"Local", f1(r.Throughput), f2(r.MeanLatMs), f2(r.P99LatMs)})
-
-	tcp := NewBasilTCP(gen, opts)
-	r = Run(tcp, gen, cfg)
-	tcp.Close()
-	t.Rows = append(t.Rows, []string{"TCP loopback", f1(r.Throughput), f2(r.MeanLatMs), f2(r.P99LatMs)})
-	return t
-}
-
-// FigBroadcast is the companion microbenchmark to FigWire: it fans one
-// representative ST1 request out to a full shard (n=6, f=1) over real
-// loopback TCP sockets, comparing the legacy loop of per-destination
-// Sends (one body encode per replica) against the encode-once SendAll
-// broadcast primitive. The delta is the serialization CPU that every
-// ST1/ST2/writeback/abort broadcast used to burn n times.
-func FigBroadcast(s Scale) Table {
-	t := Table{Title: "Shard broadcast: per-destination Send vs encode-once SendAll (TCP loopback, n=6)",
-		Header: []string{"broadcast path", "us/broadcast", "body encodes"}}
-	const fan = 6
-	// Aim each run at roughly the scale's measurement window (a broadcast
-	// is a few µs end to end), clamped to keep quick runs meaningful.
-	rounds := int64(s.Measure / (50 * time.Microsecond))
-	if rounds < 5_000 {
-		rounds = 5_000
-	}
-	if rounds > 100_000 {
-		rounds = 100_000
-	}
-	msg := &types.ST1Request{
-		ReqID: 1, ClientID: 2,
-		Meta: &types.TxMeta{
-			Timestamp: types.Timestamp{Time: 77, ClientID: 2},
-			ReadSet:   []types.ReadEntry{{Key: "alpha", Version: types.Timestamp{Time: 3}}},
-			WriteSet:  []types.WriteEntry{{Key: "beta", Value: make([]byte, 128)}},
-			Shards:    []int32{0},
-		},
-	}
-	run := func(sendAll bool) float64 {
-		book := map[transport.Addr]string{}
-		srv, err := transport.NewTCP("127.0.0.1:0", book)
-		if err != nil {
-			panic(fmt.Sprintf("benchharness: broadcast bench listen: %v", err))
-		}
-		defer srv.Close()
-		var got atomic.Int64
-		total := rounds*fan + 1 // +1 for the priming message
-		done := make(chan struct{})
-		tos := make([]transport.Addr, fan)
-		for i := range tos {
-			tos[i] = transport.ReplicaAddr(0, int32(i))
-			book[tos[i]] = srv.ListenAddr()
-			srv.Register(tos[i], transport.HandlerFunc(func(transport.Addr, any) {
-				if got.Add(1) == total {
-					close(done)
-				}
-			}))
-		}
-		cli, err := transport.NewTCP("", book)
-		if err != nil {
-			panic(fmt.Sprintf("benchharness: broadcast bench dial: %v", err))
-		}
-		defer cli.Close()
-		src := transport.ClientAddr(1)
-		// Prime the connection: frames bursting onto a still-dialing
-		// connection drop once its queue fills (fail-fast by design), so
-		// measure the steady state, not the dial window.
-		cli.Send(src, tos[0], msg)
-		for waited := 0; got.Load() == 0; waited++ {
-			if waited > 10_000 {
-				panic("benchharness: broadcast bench: priming message never arrived")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		start := time.Now()
-		for i := int64(0); i < rounds; i++ {
-			if sendAll {
-				cli.SendAll(src, tos, msg)
-			} else {
-				for _, to := range tos {
-					cli.Send(src, to, msg)
-				}
-			}
-		}
-		// The transport is allowed to drop frames (async network model);
-		// a lost delivery must degrade the number, not hang the harness.
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			fmt.Printf("benchharness: broadcast bench timed out at %d/%d deliveries\n",
-				got.Load(), rounds*fan)
-		}
-		return float64(time.Since(start).Microseconds()) / float64(rounds)
-	}
-	t.Rows = append(t.Rows, []string{"Send x n", f2(run(false)), fmt.Sprintf("%d", fan)})
-	t.Rows = append(t.Rows, []string{"SendAll", f2(run(true)), "1"})
-	return t
-}
-
-// FigParallel is a reproduction-aid experiment not in the paper: it
-// measures the replica's parallel ingest pipeline by sweeping the verify
-// worker-pool size (1 worker reproduces the old serial message loop)
-// against the store locking regime (1 stripe is the old single store
-// mutex). The RW-U workload with many closed-loop clients keeps every
-// replica's ingest queue busy, so the deltas isolate how much of the
-// paper's "BFT at OCC-store parallelism" claim the pipeline recovers.
-func FigParallel(s Scale) Table {
-	t := Table{Title: "Parallel pipeline: verify workers × store locking (RW-U)",
-		Header: []string{"verify-workers", "store", "tput (tx/s)", "mean lat (ms)"}}
-	gen := s.ycsbRWU()
-	cfg := s.runCfg()
-	workerCounts := []int{1, 4}
-	if gm := runtime.GOMAXPROCS(0); gm != 1 && gm != 4 {
-		workerCounts = append(workerCounts, gm)
-	}
-	for _, workers := range workerCounts {
-		for _, stripes := range []int{1, 0} {
-			label := "striped"
-			if stripes == 1 {
-				label = "global-lock"
-			}
-			sys := NewBasil(gen, basil.Options{
-				F: 1, Shards: 1, BatchSize: BatchSize,
-				VerifyWorkers: workers, StoreStripes: stripes,
-			})
-			r := Run(sys, gen, cfg)
-			sys.Close()
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(workers), label, f1(r.Throughput), f2(r.MeanLatMs),
-			})
-		}
-	}
-	return t
-}
-
 // FigDurability is a reproduction-aid experiment not in the paper: it
 // runs a whole durable Basil cluster (every vote and decision logged
 // before the reply that externalizes it) against the in-memory baseline
@@ -592,8 +439,8 @@ func FigDurability(s Scale) Table {
 		per = fmt.Sprintf("%.3f", float64(syncs)/float64(appends))
 	}
 	t.Rows = append(t.Rows,
-		[]string{"cluster in-memory", medianRange(memTput), "0"},
-		[]string{"cluster durable", medianRange(durTput), per})
+		[]string{"cluster in-memory", spreadOf(memTput).String(), "0"},
+		[]string{"cluster durable", spreadOf(durTput).String(), per})
 	return t
 }
 
@@ -601,58 +448,23 @@ func FigDurability(s Scale) Table {
 // interleaves.
 const durabilityRounds = 3
 
-// medianRange formats a sample as "median (min-max)".
-func medianRange(xs []float64) string {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return fmt.Sprintf("%s (%s-%s)", f1(sorted[len(sorted)/2]), f1(sorted[0]), f1(sorted[len(sorted)-1]))
+// Spread is a sample's median (the upper middle for an even count) and
+// its range.
+type Spread struct {
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
 }
 
-// FigCheckpoint is a reproduction-aid experiment not in the paper: it
-// runs a durable cluster through the RW-U workload, then walks the
-// checkpoint ladder the transaction-state lifecycle introduces. The row
-// shape to look for: the watermark-zero checkpoint carries the whole
-// history (txstates stay put, the snapshot is large), the first
-// watermark-advanced checkpoint pays a one-time collection of everything
-// finished, and the steady-state checkpoint after it is cheap because
-// both the snapshot and the txState capture are O(live). The flat-in-
-// history trajectory across workload sizes is recorded by `make bench`
-// in BENCH_checkpoint.json.
-func FigCheckpoint(s Scale) Table {
-	t := Table{Title: "Checkpoint: watermark collection vs retained history (durable cluster)",
-		Header: []string{"phase", "txstates", "duration", "collected"}}
-	gen := s.ycsbRWU()
-	dir, err := os.MkdirTemp("", "ckptcluster")
-	if err != nil {
-		panic(fmt.Sprintf("benchharness: ckptcluster tmpdir: %v", err))
-	}
-	defer os.RemoveAll(dir)
-	b := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: BatchSize, VerifyWorkers: 8,
-		DataDir: dir})
-	defer b.Close()
-	Run(b, gen, s.runCfg())
+func spreadOf(xs []float64) Spread {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return Spread{Median: sorted[len(sorted)/2], Min: sorted[0], Max: sorted[len(sorted)-1]}
+}
 
-	r := b.C.Replica(0, 0)
-	t.Rows = append(t.Rows, []string{"after workload", fmt.Sprint(r.TxStateCount()), "-", "-"})
-
-	ckpt := func(label string, wm types.Timestamp) {
-		t0 := time.Now()
-		if err := r.Checkpoint(wm); err != nil {
-			panic(fmt.Sprintf("benchharness: checkpoint: %v", err))
-		}
-		t.Rows = append(t.Rows, []string{label, fmt.Sprint(r.TxStateCount()),
-			time.Since(t0).Round(10 * time.Microsecond).String(),
-			fmt.Sprint(r.Stats.TxCollected.Load())})
-	}
-	// Watermark zero: nothing is collectable, the snapshot retains the
-	// entire version and outcome history — the pre-lifecycle shape.
-	ckpt("checkpoint, watermark zero (retained)", types.Timestamp{})
-	// The workload's timestamps come from the wall clock; a max watermark
-	// is above all of them, so this collects everything finished.
-	wm := types.Timestamp{Time: ^uint64(0)}
-	ckpt("checkpoint, watermark advanced (collects)", wm)
-	ckpt("steady-state checkpoint", wm)
-	return t
+// String formats the spread as "median (min-max)".
+func (s Spread) String() string {
+	return fmt.Sprintf("%s (%s-%s)", f1(s.Median), f1(s.Min), f1(s.Max))
 }
 
 // CommitRates reproduces the §6.1 prose numbers: fast-path rate and commit

@@ -2,21 +2,22 @@ package benchharness
 
 import (
 	"flag"
+	"math"
 	"testing"
 )
 
 // traceBenchOut makes `go test -run TestWriteTraceBench` write the
-// tracing stage breakdown and disabled-path overhead as JSON (used by
+// tracing stage breakdown and the instrumentation tax as JSON (used by
 // `make bench` to record the trajectory in BENCH_trace.json). Empty =
 // skipped.
 var traceBenchOut = flag.String("tracebench", "", "write the trace stage/overhead benchmark results as JSON to this file")
 
 // traceBenchDoc is the BENCH_trace.json schema: the per-stage p50/p99
-// latency rows a fully sampled cluster yields, and the unsampled-path
-// cost of leaving the tracer compiled into the hot path.
+// latency rows a fully sampled cluster yields, and what leaving metrics
+// and the tracer compiled into the hot path costs.
 type traceBenchDoc struct {
-	Stages   []TraceStageRow `json:"stages"`
-	Overhead TraceOverhead   `json:"overhead"`
+	Stages   []TraceStageRow    `json:"stages"`
+	Overhead InstrumentationTax `json:"overhead"`
 }
 
 // TestWriteTraceBench runs the tracing experiment and records the
@@ -25,10 +26,11 @@ type traceBenchDoc struct {
 //	go test ./internal/benchharness/ -run TestWriteTraceBench \
 //	    -tracebench BENCH_trace.json -v -count=1
 //
-// The overhead side is the PR's acceptance number: the prepare pipeline
-// with a rate-zero tracer threaded through must stay within 2% of bare
-// (the assertion lives in the alloc-free test in internal/trace; here
-// the measured number is recorded so the trajectory is visible).
+// The overhead side records the instrumentation tax against its 2%
+// bound; it asserts nothing, because a timing bound flakes on a shared
+// host. The alloc-free disabled paths are pinned by
+// TestUnsampledPathAllocFree (internal/trace) and TestRecordPathAllocFree
+// (internal/metrics).
 func TestWriteTraceBench(t *testing.T) {
 	if *traceBenchOut == "" {
 		t.Skip("no -tracebench output path; run via make bench")
@@ -36,20 +38,37 @@ func TestWriteTraceBench(t *testing.T) {
 	s := Quick()
 	doc := traceBenchDoc{
 		Stages:   TraceStages(s),
-		Overhead: MeasureTraceOverhead(s),
+		Overhead: MeasureInstrumentationTax(s),
 	}
 	for _, r := range doc.Stages {
 		t.Logf("%-24s n=%-6d p50=%8.1fus p99=%8.1fus", r.Stage, r.Count, r.P50Us, r.P99Us)
 	}
 	o := doc.Overhead
-	t.Logf("unsampled Start: %.1f ns/op, %.2f allocs/op", o.StartNsPerOp, o.StartAllocsPerOp)
-	t.Logf("pipeline bare %.1f ns/op, tracer-on %.1f ns/op, overhead %+.2f%% (bound: +2%%)",
-		o.BareNsPerOp, o.UnsampledNsPerOp, o.OverheadPct)
-	if o.StartAllocsPerOp != 0 {
-		t.Errorf("unsampled Start/End allocates (%.2f allocs/op); the disabled path must be alloc-free", o.StartAllocsPerOp)
-	}
+	t.Logf("prepare pipeline ns/op over %d rounds: bare %v, metrics %v, tracer %v; overhead metrics %+.2f%%, tracer %+.2f%% (bound: +2%%)",
+		o.Rounds, o.Bare, o.Metrics, o.Tracer, o.MetricsOverheadPct, o.TracerOverheadPct)
 
 	if err := WriteRecord(*traceBenchOut, "trace", doc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInstrumentationTaxSmoke runs the tax measurement at quick scale and
+// checks only that every arm produced a finite, positive time.
+func TestInstrumentationTaxSmoke(t *testing.T) {
+	o := MeasureInstrumentationTax(Quick())
+	if o.Rounds < 5 {
+		t.Fatalf("rounds = %d, want at least 5", o.Rounds)
+	}
+	for name, a := range map[string]Spread{"bare": o.Bare, "metrics": o.Metrics, "tracer": o.Tracer} {
+		for _, v := range []float64{a.Median, a.Min, a.Max} {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Errorf("%s arm: ns/op %v, want finite and positive (%v)", name, v, a)
+			}
+		}
+	}
+	for _, v := range []float64{o.MetricsOverheadPct, o.TracerOverheadPct} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("overhead %v%%, want finite", v)
+		}
 	}
 }

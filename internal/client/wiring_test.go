@@ -24,8 +24,7 @@ func TestManualWiring(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := replica.New(replica.Config{
 			Shard: 0, Index: int32(i), F: f,
-			DeltaMicros: 60_000_000,
-			Registry:    reg, SignerID: int32(i), SignerOf: signerOf,
+			Registry: reg, SignerID: int32(i), SignerOf: signerOf,
 			Net: net,
 		})
 		r.LoadGenesis("k", []byte("v0"))

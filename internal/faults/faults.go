@@ -1,9 +1,9 @@
 // Package faults supplies Byzantine behavior strategies for replicas and
 // clients, used by the failure experiments (paper §6.4), the adversarial
 // test suite and the production-scenario harness (internal/scenario),
-// plus seeded network-fault link policies for the whole-cluster fuzz
-// battery and composable chaos injectors (partitions, slow disks,
-// replica-side equivocation) for scenario storms.
+// plus composable chaos injectors (seeded link drops, partitions, slow
+// disks, replica-side equivocation) for the whole-cluster fuzz batteries
+// and scenario storms.
 //
 // Ownership: strategies are installed at cluster construction and invoked
 // from replica pool workers and transport dispatchers concurrently; every
@@ -19,9 +19,7 @@ package faults
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math/rand"
 	"sync"
-	"time"
 
 	"repro/internal/replica"
 	"repro/internal/transport"
@@ -57,31 +55,6 @@ func addrBytes(a transport.Addr) []byte {
 	binary.BigEndian.PutUint32(b[1:], uint32(a.Shard))
 	binary.BigEndian.PutUint32(b[5:], uint32(a.Index))
 	return b[:]
-}
-
-// DropLinks returns a seeded LinkPolicy that drops each message with
-// probability p. Each (from, to) link owns an rng derived from the seed
-// and the link identity, so the drop pattern seen by one link depends
-// only on the seed and that link's own message order — never on how
-// traffic on other links interleaves with it. A failing fuzz run
-// therefore reproduces from its printed seed.
-func DropLinks(seed int64, p float64) transport.LinkPolicy {
-	var (
-		mu    sync.Mutex
-		links = make(map[[2]transport.Addr]*rand.Rand)
-	)
-	return func(from, to transport.Addr, msg any) (time.Duration, bool) {
-		key := [2]transport.Addr{from, to}
-		mu.Lock()
-		rng := links[key]
-		if rng == nil {
-			rng = rand.New(rand.NewSource(int64(mix(seed, addrBytes(from), addrBytes(to)))))
-			links[key] = rng
-		}
-		drop := rng.Float64() < p
-		mu.Unlock()
-		return 0, drop
-	}
 }
 
 // VoteAbortReplica always votes abort, the cheapest way for a Byzantine

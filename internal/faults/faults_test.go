@@ -96,7 +96,9 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 
 	// One run: every link hammered from its own goroutine, concurrently.
 	runDrops := func(seed int64) [][]bool {
-		policy := DropLinks(seed, 0.3)
+		chaos := NewChaos(seed)
+		chaos.SetDrop(0.3)
+		policy := chaos.Policy()
 		out := make([][]bool, len(links))
 		var wg sync.WaitGroup
 		for i, l := range links {
@@ -234,7 +236,7 @@ func TestChaosPartition(t *testing.T) {
 }
 
 // TestChaosDropDeterministic: the background drop stream is per-link
-// seeded, like DropLinks.
+// seeded.
 func TestChaosDropDeterministic(t *testing.T) {
 	run := func(seed int64) []bool {
 		c := NewChaos(seed)

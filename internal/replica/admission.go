@@ -49,10 +49,10 @@ import (
 
 // Default and limit constants for the admission queue.
 const (
-	// defaultDispatchQueue is the inflight cap when Config.DispatchQueue
+	// DefaultDispatchQueue is the inflight cap when Config.DispatchQueue
 	// is 0: far above any honest closed-loop load, small enough to bound
 	// the memory a line-rate spammer can pin.
-	defaultDispatchQueue = 1024
+	DefaultDispatchQueue = 1024
 	// maxTrackedClients caps the reputation table; beyond it, an arbitrary
 	// entry is evicted (a Byzantine client shedding identities faster than
 	// this buys itself a clean score but loses its request history too).
@@ -161,7 +161,7 @@ type admission struct {
 func newAdmission(r *Replica, queue int) *admission {
 	cap := int64(queue)
 	if queue == 0 {
-		cap = defaultDispatchQueue
+		cap = DefaultDispatchQueue
 	}
 	return &admission{r: r, cap: cap, clients: make(map[uint64]*clientScore)}
 }

@@ -22,7 +22,6 @@ func newQueuedReplica(t *testing.T, queue int) (*Replica, *transport.Local) {
 	reg := cryptoutil.NewRegistry(cryptoutil.SchemeEd25519, 6, 1)
 	r := New(Config{
 		Shard: 0, Index: 0, F: 1,
-		DeltaMicros:   60_000_000,
 		BatchSize:     1,
 		DispatchQueue: queue,
 		Registry:      reg,

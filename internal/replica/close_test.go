@@ -19,12 +19,11 @@ func newTestReplica(t *testing.T, batch int) (*Replica, *transport.Local) {
 	reg := cryptoutil.NewRegistry(cryptoutil.SchemeEd25519, 6, 1)
 	r := New(Config{
 		Shard: 0, Index: 0, F: 1,
-		DeltaMicros: 60_000_000,
-		BatchSize:   batch,
-		Registry:    reg,
-		SignerID:    0,
-		SignerOf:    quorum.SignerOf(func(s, i int32) int32 { return i }),
-		Net:         net,
+		BatchSize: batch,
+		Registry:  reg,
+		SignerID:  0,
+		SignerOf:  quorum.SignerOf(func(s, i int32) int32 { return i }),
+		Net:       net,
 	})
 	return r, net
 }

@@ -15,7 +15,8 @@ import (
 // single atomic add. The only instrumentation added to the ingest hot
 // path is the per-kind Deliver latency pair of clock reads, gated on
 // mx.timed so a Nop registry is a true uninstrumented baseline (the
-// overhead is bounded by `basil-bench -experiment metrics`).
+// overhead is bounded by the instrumentation-tax table of
+// `basil-bench -experiment trace`).
 
 // deliver-latency histogram indices, one per protocol message kind.
 const (

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cryptoutil"
 	"repro/internal/quorum"
 	"repro/internal/transport"
@@ -99,10 +100,9 @@ func TestReadSchemeNoneReplies(t *testing.T) {
 	defer net.Close()
 	r := New(Config{
 		Shard: 0, Index: 0, F: 1,
-		DeltaMicros: 60_000_000,
-		Registry:    cryptoutil.NewRegistry(cryptoutil.SchemeNone, 6, 1),
-		SignerOf:    quorum.SignerOf(func(s, i int32) int32 { return i }),
-		Net:         net,
+		Registry: cryptoutil.NewRegistry(cryptoutil.SchemeNone, 6, 1),
+		SignerOf: quorum.SignerOf(func(s, i int32) int32 { return i }),
+		Net:      net,
 	})
 	defer r.Close()
 	r.store.ApplyGenesis("k", []byte("v0"))
@@ -112,6 +112,47 @@ func TestReadSchemeNoneReplies(t *testing.T) {
 	}
 	if rr.MAC != ([32]byte{}) || rr.Committed == nil || string(rr.Committed.Value) != "v0" {
 		t.Fatalf("NoProofs read reply %+v, want v0 with no MAC", rr)
+	}
+}
+
+// TestZeroDeltaUsesDefault: a replica built with a zero δ admits
+// timestamps up to DefaultDeltaMicros ahead of its clock, instead of
+// refusing everything newer than its own clock.
+func TestZeroDeltaUsesDefault(t *testing.T) {
+	net := transport.NewLocal()
+	defer net.Close()
+	clk := clock.NewManual(1_000_000_000)
+	r := New(Config{
+		Shard: 0, Index: 0, F: 1,
+		Registry: cryptoutil.NewRegistry(cryptoutil.SchemeNone, 6, 1),
+		SignerOf: quorum.SignerOf(func(s, i int32) int32 { return i }),
+		Clock:    clk,
+		Net:      net,
+	})
+	defer r.Close()
+	r.store.ApplyGenesis("k", []byte("v0"))
+	addr := transport.ClientAddr(7)
+	got := make(chan *types.ReadReply, 1)
+	net.Register(addr, transport.HandlerFunc(func(_ transport.Addr, msg any) {
+		if rr, ok := msg.(*types.ReadReply); ok {
+			got <- rr
+		}
+	}))
+	read := func(ahead uint64, wait time.Duration) *types.ReadReply {
+		r.onRead(addr, &types.ReadRequest{ReqID: 1, ClientID: 7, Key: "k",
+			Ts: types.Timestamp{Time: clk.NowMicros() + ahead, ClientID: 7}})
+		select {
+		case rr := <-got:
+			return rr
+		case <-time.After(wait):
+			return nil
+		}
+	}
+	if rr := read(1_000_000, 5*time.Second); rr == nil || rr.Committed == nil || string(rr.Committed.Value) != "v0" {
+		t.Fatalf("read 1 s ahead of the clock: reply %+v, want v0", rr)
+	}
+	if rr := read(DefaultDeltaMicros+1, 50*time.Millisecond); rr != nil {
+		t.Fatalf("read beyond the default δ answered with %+v", rr)
 	}
 }
 

@@ -54,7 +54,8 @@ type Config struct {
 	F     int   // per-shard fault threshold; n = 5f+1
 
 	// DeltaMicros is the δ admission bound: operations with timestamps
-	// beyond local-clock+δ are refused (paper §4.1 Begin).
+	// beyond local-clock+δ are refused (paper §4.1 Begin). 0 uses
+	// DefaultDeltaMicros.
 	DeltaMicros uint64
 
 	// BatchSize configures reply-signature batching (paper §4.4); a
@@ -89,14 +90,10 @@ type Config struct {
 	// (queued or executing); arrivals beyond it are shed with an explicit
 	// types.Overloaded reply instead of growing memory or silently
 	// stalling the transport (see admission.go). 0 uses the default
-	// (defaultDispatchQueue); negative disables admission entirely —
+	// (DefaultDispatchQueue); negative disables admission entirely —
 	// unlimited intake, the pre-admission behavior benchmarks compare
 	// against.
 	DispatchQueue int
-	// Stripes is the store's per-key lock-stripe count. 0 defaults to
-	// store.DefaultStripes; 1 degenerates to a single key lock (the
-	// pre-striping baseline the parallel experiment compares against).
-	Stripes int
 
 	Clock    clock.Clock
 	Registry *cryptoutil.Registry
@@ -378,6 +375,10 @@ const macKeyCacheSize = 4096
 // more replies before it is signed.
 const BatchDelay = 500 * time.Microsecond
 
+// DefaultDeltaMicros is the δ admission bound when Config.DeltaMicros is
+// 0: 60 s, far above any clock skew between honest clients and replicas.
+const DefaultDeltaMicros = 60_000_000
+
 // New constructs and registers a replica on cfg.Net. With a DataDir it
 // opens (and replays) the durability log, panicking if the directory is
 // unusable — use Restore for an error-returning restart path.
@@ -404,9 +405,8 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	stripes := cfg.Stripes
-	if stripes <= 0 {
-		stripes = store.DefaultStripes
+	if cfg.DeltaMicros == 0 {
+		cfg.DeltaMicros = DefaultDeltaMicros
 	}
 	r := &Replica{
 		cfg:        cfg,
@@ -414,7 +414,7 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 		addr:       transport.ReplicaAddr(cfg.Shard, cfg.Index),
 		signer:     cfg.Registry.Signer(cfg.SignerID),
 		sv:         cryptoutil.NewSigVerifier(cfg.Registry, 4096),
-		store:      store.NewStriped(stripes),
+		store:      store.New(),
 		pool:       cryptoutil.NewVerifyPool(cfg.VerifyWorkers),
 		macKeys:    cryptoutil.NewMACKeyCache(cfg.Registry, cfg.SignerID, macKeyCacheSize),
 		txs:        make(map[types.TxID]*txState),

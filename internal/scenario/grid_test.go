@@ -59,7 +59,9 @@ func TestParameterGrid(t *testing.T) {
 				cl.Load(keys[i], []byte{0})
 			}
 			if c.drop > 0 {
-				cl.Net().SetPolicy(faults.DropLinks(seed, c.drop))
+				chaos := faults.NewChaos(seed)
+				chaos.SetDrop(c.drop)
+				cl.Net().SetPolicy(chaos.Policy())
 			}
 
 			var (

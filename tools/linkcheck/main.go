@@ -45,7 +45,7 @@ var (
 var goToolFlags = map[string]bool{
 	"-race": true, "-bench": true, "-benchtime": true, "-benchmem": true,
 	"-run": true, "-count": true, "-v": true, "-cpu": true, "-timeout": true,
-	"-parallelbench": true, "-walbench": true, "-tags": true,
+	"-walbench": true, "-tags": true,
 }
 
 func main() {
